@@ -17,7 +17,7 @@ QUARTERS = 4
 def _run(trace_4gpu):
     timelines = {}
     for arch in default_architectures(4):
-        series = ClusterSimulator(arch, trace_4gpu, n_nodes=SIM_NODES_4GPU).run_exact(TP_SIZE)
+        series = ClusterSimulator(arch, trace_4gpu, n_nodes=SIM_NODES_4GPU).run(TP_SIZE)
         timelines[arch.name] = series
     return timelines
 

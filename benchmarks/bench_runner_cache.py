@@ -1,43 +1,24 @@
-"""Result cache + shared-memory fan-out: the runner's two new fast paths.
+"""Result cache: a warm cached sweep vs the cold run that fills the cache.
 
-Two gated comparisons on the ``bench_api_runner`` workload (348-day 4-GPU
-trace, 720 nodes, the 8-architecture line-up at TP=32):
-
-* **warm vs cold** -- the full 3-seed Monte-Carlo waste sweep with
-  ``cache="disk"`` run twice against an empty cache directory.  The cold
-  run pays for per-seed trace sampling, timeline sweeps and the batched
-  replay -- everything a cache hit skips; the warm run serves every task
-  from the content-addressed store and must be >= 10x faster, with
-  bit-for-bit identical results.
-* **shm vs pickle fan-out** -- shipping one stacked Monte-Carlo event log
-  to a fork pool of workers as a tiny :class:`ShmEventLog` handle (every
-  worker maps the same pages zero-copy) vs pickling the whole array into
-  each task.  The shared-memory path must be >= 1.3x faster.
+The gated workload is a 348-day 4-GPU trace on 720 nodes, the
+8-architecture line-up at TP=32: the full 3-seed Monte-Carlo waste sweep
+with ``cache="disk"`` run twice against an empty cache directory.  The cold
+run pays for per-seed trace sampling, timeline sweeps and the batched
+replay -- everything a cache hit skips; the warm run serves every task from
+the content-addressed store and must be >= 10x faster, with bit-for-bit
+identical results.
 """
 
 import json
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
-import numpy as np
 from conftest import SIM_NODES_4GPU, emit_report, format_table
 
 from repro.api import ExperimentRunner, ExperimentSpec, Scenario, TraceSpec
 from repro.cache import clear_memory_cache
-from repro.faults.events import ShmEventLog
-from repro.mc import BatchTraceConfig, sample_trace_batch
 
 TP_SIZE = 32
 MIN_WARM_SPEEDUP = 10.0
-MIN_SHM_SPEEDUP = 1.3
-
-FANOUT_SEEDS = 32
-FANOUT_TASKS = 16
-FANOUT_WORKERS = 4
-
-
 NUM_SEEDS = 3
 
 
@@ -103,74 +84,3 @@ def test_warm_cache_beats_cold_sweep(tmp_path, monkeypatch):
         f"warm cached sweep only {speedup:.1f}x faster than cold"
     )
 
-
-def _consume_pickled(log: np.ndarray) -> int:
-    return int(log["node"].sum())
-
-
-def _consume_shm(handle: ShmEventLog) -> int:
-    return int(handle.log()["node"].sum())
-
-
-def test_shm_fanout_beats_pickle_fanout():
-    batch = sample_trace_batch(
-        BatchTraceConfig(
-            n_seeds=FANOUT_SEEDS,
-            n_nodes=SIM_NODES_4GPU,
-            duration_days=348,
-            gpus_per_node=4,
-        )
-    )
-    log = batch.log
-    handle = ShmEventLog.from_log(log)
-    try:
-        expected = _consume_pickled(log)
-        with ProcessPoolExecutor(
-            max_workers=FANOUT_WORKERS, mp_context=get_context("fork")
-        ) as pool:
-            # Warm-up: absorb pool spin-up before either side is timed.
-            assert list(pool.map(_consume_shm, [handle] * FANOUT_WORKERS)) == [
-                expected
-            ] * FANOUT_WORKERS
-
-            def fanout(fn, payload):
-                start = time.perf_counter()
-                results = list(pool.map(fn, [payload] * FANOUT_TASKS))
-                elapsed = time.perf_counter() - start
-                assert results == [expected] * FANOUT_TASKS
-                return elapsed
-
-            pickle_seconds = min(
-                fanout(_consume_pickled, log) for _ in range(3)
-            )
-            shm_seconds = min(fanout(_consume_shm, handle) for _ in range(3))
-    finally:
-        handle.unlink()
-    speedup = pickle_seconds / max(shm_seconds, 1e-9)
-
-    emit_report(
-        "runner_shm_fanout",
-        format_table(
-            ["metric", "value"],
-            [
-                ["stacked events", len(log)],
-                ["payload bytes", log.nbytes],
-                ["handle bytes", len(pickle.dumps(handle))],
-                ["fan-out tasks x workers", f"{FANOUT_TASKS} x {FANOUT_WORKERS}"],
-                ["pickle fan-out (s)", pickle_seconds],
-                ["shm fan-out (s)", shm_seconds],
-                ["speedup", speedup],
-            ],
-        ),
-        gates=[
-            (
-                f"shm fan-out >= {MIN_SHM_SPEEDUP}x pickle fan-out",
-                speedup,
-                MIN_SHM_SPEEDUP,
-                ">=",
-            ),
-        ],
-    )
-    assert speedup >= MIN_SHM_SPEEDUP, (
-        f"shm fan-out only {speedup:.2f}x faster than pickle fan-out"
-    )

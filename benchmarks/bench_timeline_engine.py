@@ -157,7 +157,7 @@ def test_delta_replay_speedup(benchmark):
         rounds=1,
         iterations=1,
         args=(arch, timeline, TP_SIZE),
-        kwargs={"incremental": True, "streaming": True},
+        kwargs={"incremental": True},
     )
 
     text = format_table(
@@ -219,7 +219,7 @@ def test_infinitehbd_delta_replay_speedup(benchmark):
         rounds=1,
         iterations=1,
         args=(arch, timeline, TP_SIZE),
-        kwargs={"incremental": True, "streaming": True},
+        kwargs={"incremental": True},
     )
 
     text = format_table(

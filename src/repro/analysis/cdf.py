@@ -1,18 +1,10 @@
-"""Shared empirical-distribution helpers (CDF, quantiles, streaming).
+"""Shared empirical-distribution helpers (CDF, quantiles).
 
 Three call sites used to hand-roll the same computation (the waste-ratio CDF
 of a replay series, the fault-ratio CDF of a trace, and the duration-weighted
 exact variants the interval timeline engine added); they all route through
 :func:`empirical_cdf` now, and the duration-weighted quantiles of the
 interval engine route through :func:`weighted_quantile`.
-
-:class:`StreamingDistribution` is the streaming-aggregation counterpart: a
-duration-weighted accumulator for piecewise-constant signals that folds mean
-/ quantile / CDF accumulation into a single pass, so very long replays never
-materialise their interval list.  It is *exact*, not a sketch: the signals it
-accumulates (waste ratios, usable GPU counts) take few distinct values, so
-grouping weight by value loses nothing while keeping memory O(distinct
-values) instead of O(intervals).
 """
 
 from __future__ import annotations
@@ -84,90 +76,3 @@ def weighted_quantile(
             return value
     return pairs[-1][0]
 
-
-class StreamingDistribution:
-    """Duration-weighted distribution accumulator for streaming replays.
-
-    ``add(value, weight)`` folds one piecewise-constant segment in; weight is
-    grouped per distinct value, so memory is bounded by the number of
-    *levels* the signal visits (for replay signals: at most one per usable
-    GPU count), never by the number of segments.  The weighted mean
-    accumulates in arrival order, so it is bit-for-bit what a materialised
-    ``sum(v * w) / sum(w)`` over the same segments produces; quantiles and
-    the CDF match :func:`weighted_quantile` / :func:`empirical_cdf` up to
-    the float-summation reordering that grouping introduces (exactly, when
-    the weights are exactly representable).
-    """
-
-    __slots__ = ("_weights", "_weighted_sum", "_total_weight", "_count")
-
-    def __init__(self) -> None:
-        self._weights: dict[float, float] = {}
-        self._weighted_sum = 0.0
-        self._total_weight = 0.0
-        self._count = 0
-
-    def add(self, value: float, weight: float) -> None:
-        """Fold in one segment of ``value`` persisting for ``weight`` units."""
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
-        self._weights[value] = self._weights.get(value, 0.0) + weight
-        self._weighted_sum += value * weight
-        self._total_weight += weight
-        self._count += 1
-
-    def __len__(self) -> int:
-        """Number of segments folded in (not distinct values)."""
-        return self._count
-
-    @property
-    def n_values(self) -> int:
-        """Number of distinct values seen (the memory footprint)."""
-        return len(self._weights)
-
-    @property
-    def total_weight(self) -> float:
-        return self._total_weight
-
-    def items(self) -> list[tuple[float, float]]:
-        """``(value, total weight)`` pairs, sorted by value."""
-        return sorted(self._weights.items())
-
-    def mean(self) -> float:
-        """Weighted mean (0.0 for an empty accumulator)."""
-        if self._total_weight <= 0:
-            return 0.0
-        return self._weighted_sum / self._total_weight
-
-    def min(self) -> float:
-        if not self._weights:
-            return 0.0
-        return min(self._weights)
-
-    def max(self) -> float:
-        if not self._weights:
-            return 0.0
-        return max(self._weights)
-
-    def quantile(self, q: float) -> float:
-        """Weighted quantile, same convention as :func:`weighted_quantile`."""
-        items = self.items()
-        return weighted_quantile(
-            [v for v, _ in items], [w for _, w in items], q
-        )
-
-    def cdf(self) -> tuple[list[float], list[float]]:
-        """``(distinct sorted values, cumulative probability)``.
-
-        The same step function :func:`empirical_cdf` produces from the
-        materialised segments, with duplicate values collapsed to their last
-        (i.e. highest-cumulative) point.
-        """
-        items = self.items()
-        if not items:
-            return [], []
-        return empirical_cdf([v for v, _ in items], [w for _, w in items])
-
-    def weight_below(self, threshold: float) -> float:
-        """Total weight of values strictly below ``threshold``."""
-        return sum(w for v, w in self._weights.items() if v < threshold)

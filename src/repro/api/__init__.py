@@ -54,12 +54,7 @@ from repro.api.results import (
     Provenance,
     ResultSet,
 )
-from repro.api.runner import (
-    ExperimentRunner,
-    compare_architectures_over_trace,
-    compare_architectures_over_tp_sizes,
-    run_experiment,
-)
+from repro.api.runner import ExperimentRunner, run_experiment
 
 __all__ = [
     "ArchitectureEntry",
@@ -82,7 +77,5 @@ __all__ = [
     "Provenance",
     "ResultSet",
     "ExperimentRunner",
-    "compare_architectures_over_trace",
-    "compare_architectures_over_tp_sizes",
     "run_experiment",
 ]

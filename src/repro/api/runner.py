@@ -21,9 +21,7 @@ on a single core:
 
 Capacity metrics (mean / p99 waste, supported job scale, waiting fraction)
 are exact duration-weighted quantities over the intervals -- no
-``sample_interval_hours`` dependence.  The module also exposes the
-timeline-sharing comparison helpers that :mod:`repro.simulation.sweeps` is
-now a thin shim over.
+``sample_interval_hours`` dependence.
 """
 
 from __future__ import annotations
@@ -51,11 +49,9 @@ from repro.api.spec import (
     TraceSpec,
 )
 from repro.cache import ResultCache, content_key
-from repro.faults.timeline import IntervalTimeline, serialize_timeline
-from repro.faults.trace import FaultTrace
-from repro.hbd.base import HBDArchitecture
+from repro.faults.timeline import IntervalTimeline
 from repro.mc import TraceBatch, replay_batch, seed_stats
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
 
@@ -73,21 +69,6 @@ def _fork_context() -> BaseContext | None:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
-
-
-def _map_tasks(fn: Callable[[Any], Any], payloads: Sequence[Any], max_workers: int | None) -> list[Any]:
-    """Map ``fn`` over ``payloads``, forking a pool when it can help.
-
-    Falls back to in-process serial execution on a single core or when fork
-    is unavailable; results keep payload order either way, so the output is
-    identical no matter how it was executed.
-    """
-    workers = _resolve_workers(max_workers, len(payloads))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, payloads))
 
 
 # ------------------------------------------------------- shared fault timelines
@@ -108,63 +89,6 @@ def _timeline_for(
     with _TIMELINE_LOCK:
         _TIMELINE_CACHE.setdefault(key, timeline)
     return timeline
-
-
-# ------------------------------------------------ concrete-object sweep helpers
-def _sweep_one(args: tuple[HBDArchitecture, IntervalTimeline, int]) -> IntervalSeries:
-    architecture, timeline, tp_size = args
-    return replay_intervals(architecture, timeline, tp_size)
-
-
-def compare_architectures_over_trace(
-    architectures: Sequence[HBDArchitecture],
-    trace: FaultTrace,
-    tp_size: int,
-    n_nodes: int | None = None,
-    max_workers: int | None = 1,
-) -> dict[str, IntervalSeries]:
-    """Replay one trace against many architectures over a shared exact timeline.
-
-    >>> from repro.api.spec import TraceSpec
-    >>> from repro.hbd import BigSwitchHBD, NVLHBD
-    >>> trace = TraceSpec(days=5, seed=1).build()
-    >>> series = compare_architectures_over_trace(
-    ...     [BigSwitchHBD(4), NVLHBD(72, 4)], trace, tp_size=32, n_nodes=288)
-    >>> sorted(series)
-    ['Big-Switch', 'NVL-72']
-    >>> series["Big-Switch"].mean_waste_ratio <= series["NVL-72"].mean_waste_ratio
-    True
-    """
-    timeline = trace.interval_timeline(n_nodes)
-    payloads = [(arch, timeline, tp_size) for arch in architectures]
-    series = _map_tasks(_sweep_one, payloads, max_workers)
-    return {arch.name: s for arch, s in zip(architectures, series, strict=True)}
-
-
-def compare_architectures_over_tp_sizes(
-    architectures: Sequence[HBDArchitecture],
-    trace: FaultTrace,
-    tp_sizes: Sequence[int],
-    n_nodes: int | None = None,
-    max_workers: int | None = 1,
-) -> dict[str, dict[int, IntervalSeries]]:
-    """Full architecture × TP-size replay grid over a shared exact timeline.
-
-    >>> from repro.api.spec import TraceSpec
-    >>> from repro.hbd import NVLHBD
-    >>> grid = compare_architectures_over_tp_sizes(
-    ...     [NVLHBD(72, 4)], TraceSpec(days=5, seed=1).build(),
-    ...     tp_sizes=(8, 32), n_nodes=288)
-    >>> sorted(grid["NVL-72"])
-    [8, 32]
-    """
-    timeline = trace.interval_timeline(n_nodes)
-    payloads = [(arch, timeline, tp) for arch in architectures for tp in tp_sizes]
-    series = _map_tasks(_sweep_one, payloads, max_workers)
-    grid: dict[str, dict[int, IntervalSeries]] = {}
-    for (arch, _, tp), s in zip(payloads, series, strict=True):
-        grid.setdefault(arch.name, {})[tp] = s
-    return grid
 
 
 # ------------------------------------------------------------ experiment tasks
@@ -301,13 +225,7 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
     timeline = _timeline_for(scenario.trace, scenario.n_nodes)
-    # Aggregate-only experiments replay in streaming mode: the sweep walks
-    # the intervals once (O(delta) per step when the architecture supports
-    # it) and never materialises the interval list.  "waste" emits the
-    # piecewise-constant step series, so it keeps the materialised replay.
-    series = replay_intervals(
-        architecture, timeline, tp_size, streaming=experiment != "waste"
-    )
+    series = replay_intervals(architecture, timeline, tp_size)
 
     if experiment == "waste":
         # Duration-weighted exact aggregates -- independent of any sampling
@@ -354,9 +272,6 @@ def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
     options = spec.options_for("goodput")
-    # The deprecated "sample_interval_hours" option never reaches this point:
-    # ExperimentSpec warns about it at construction time and scrubs it from
-    # the serialized form the task payload carries.
     config = GoodputConfig(
         job_gpus=int(options.get("job_gpus", scenario.job_gpus)),
         tp_size=tp_size,
@@ -667,48 +582,15 @@ _ARCH_SWEEP_EXPERIMENTS = (
     "blast_radius",
 )
 
-#: Experiments that replay the shared exact interval timeline (and therefore
-#: ride the shared-memory event-log fan-out).
+#: Experiments that replay the shared exact interval timeline (warmed before
+#: the pool forks).
 _TIMELINE_EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting", "schedule")
 
 
-def _execute_payload(payload: dict[str, Any]) -> list[dict[str, Any]]:
+def _execute_payload(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Top-level task entry point (picklable for the process pool)."""
     spec = ExperimentSpec.from_dict(payload["spec"])
     return _HANDLERS[payload["experiment"]](spec, payload)
-
-
-def _round_robin_chunks(n_items: int, n_chunks: int) -> list[list[int]]:
-    """Deal item indices round-robin into at most ``n_chunks`` lists.
-
-    Round-robin (rather than contiguous slabs) balances chunks when task
-    cost correlates with position -- e.g. all of one experiment's cells
-    first -- while each list stays in ascending order so per-chunk results
-    reassemble deterministically.
-    """
-    return [list(range(start, n_items, n_chunks)) for start in range(min(n_chunks, n_items))]
-
-
-def _execute_chunk(chunk: dict[str, Any]) -> list[list[dict[str, Any]]]:
-    """Run one worker's batch of tasks (picklable pool entry point).
-
-    ``chunk`` carries the spec dict once, the shared timeline transports
-    (tiny shm handles or pickled logs), and the per-task payloads minus
-    their ``spec`` key.  Transported timelines are adopted into this
-    process's timeline memo *only when absent* -- forked workers already
-    inherit the parent's cache copy-on-write and must keep those exact
-    objects.
-    """
-    for entry in chunk["timelines"]:
-        key = (TraceSpec.from_dict(entry["trace"]), entry["n_nodes"])
-        with _TIMELINE_LOCK:
-            present = key in _TIMELINE_CACHE
-        if not present:
-            timeline = entry["transport"].timeline()
-            with _TIMELINE_LOCK:
-                _TIMELINE_CACHE.setdefault(key, timeline)
-    spec_dict = chunk["spec"]
-    return [_execute_payload({**task, "spec": spec_dict}) for task in chunk["tasks"]]
 
 
 # ---------------------------------------------------------------- the runner
@@ -725,10 +607,7 @@ class ExperimentRunner:
     consults the content-addressed result store (:mod:`repro.cache`) before
     computing each task and writes fresh rows back on miss; cached rows are
     re-stamped with this run's provenance, so hit and miss results are
-    bit-for-bit identical.  When the pool forks, tasks are dealt into one
-    chunk per worker and the shared interval timelines ship as
-    shared-memory event-log handles (:mod:`repro.faults.timeline`) instead
-    of per-task pickles.
+    bit-for-bit identical.
 
     >>> from repro.api.spec import ArchitectureSpec, ExperimentSpec, Scenario, TraceSpec
     >>> spec = ExperimentSpec.of(
@@ -866,12 +745,11 @@ class ExperimentRunner:
         return content_key(body)
 
     def _execute(self, payloads: Sequence[Mapping[str, Any]]) -> list[list[dict[str, Any]]]:
-        """Compute tasks fresh: serial in-process, or chunked over a forked pool.
+        """Compute tasks fresh: serial in-process, or mapped over a forked pool.
 
-        The parallel path submits one chunk per worker (spec dict pickled
-        once per chunk, not once per task) and ships each shared interval
-        timeline as a single shared-memory event-log handle that every
-        chunk references; segments are unlinked once the pool is done.
+        Falls back to serial execution on a single worker or when fork is
+        unavailable; results keep payload order either way, so the output is
+        identical no matter how it was executed.
         """
         if not payloads:
             return []
@@ -879,52 +757,9 @@ class ExperimentRunner:
         workers = _resolve_workers(self.max_workers, len(payloads))
         context = _fork_context() if workers > 1 else None
         if context is None:
-            return [_execute_payload(dict(p)) for p in payloads]
-
-        transports = self._timeline_transports(payloads)
-        spec_dict = self.spec.to_dict()
-        index_chunks = _round_robin_chunks(len(payloads), workers)
-        chunks = [
-            {
-                "spec": spec_dict,
-                "timelines": transports,
-                "tasks": [
-                    {k: v for k, v in payloads[i].items() if k != "spec"}
-                    for i in indices
-                ],
-            }
-            for indices in index_chunks
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=len(chunks), mp_context=context) as pool:
-                chunk_results = list(pool.map(_execute_chunk, chunks))
-        finally:
-            for entry in transports:
-                entry["transport"].unlink()
-        ordered: list[list[dict[str, Any]] | None] = [None] * len(payloads)
-        for indices, rows_lists in zip(index_chunks, chunk_results, strict=True):
-            for index, rows in zip(indices, rows_lists, strict=True):
-                ordered[index] = rows
-        return [rows for rows in ordered if rows is not None]
-
-    def _timeline_transports(self, payloads: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """One shared transport per (trace seed, cluster size) the tasks replay.
-
-        Every capacity/schedule cell of a scenario references the same
-        entry, so each distinct event log is serialized exactly once per
-        run no matter how many tasks or workers consume it.
-        """
-        if not any(p["experiment"] in _TIMELINE_EXPERIMENTS for p in payloads):
-            return []
-        n_nodes = self.spec.scenario.n_nodes
-        return [
-            {
-                "trace": trace_spec.to_dict(),
-                "n_nodes": n_nodes,
-                "transport": serialize_timeline(_timeline_for(trace_spec, n_nodes)),
-            }
-            for trace_spec in _seed_trace_specs(self.spec)
-        ]
+            return [_execute_payload(p) for p in payloads]
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return list(pool.map(_execute_payload, payloads))
 
     def _warm_caches(self, payloads: Sequence[Mapping[str, Any]]) -> None:
         """Build the trace (and shared timelines) before the pool forks.

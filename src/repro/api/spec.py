@@ -26,12 +26,12 @@ import dataclasses
 import hashlib
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import CACHE_MODES
+from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
 from repro.scheduler.jobs import JobSpec, check_known_fields
 from repro.scheduler.placement import (
@@ -166,6 +166,18 @@ class TraceSpec:
             raise ValueError(f"unknown trace kind {self.kind!r}; known: ['synthetic']")
         if self.gpus_per_node not in (4, 8):
             raise ValueError("gpus_per_node must be 4 or 8")
+        # The generator config validates days, source nodes and fault ratios:
+        # building it here rejects a bad spec before any work starts.
+        self._synthetic_config()
+
+    def _synthetic_config(self) -> SyntheticTraceConfig:
+        return SyntheticTraceConfig(
+            n_nodes=self.source_nodes,
+            duration_days=self.days,
+            seed=self.seed,
+            mean_fault_ratio=self.mean_fault_ratio,
+            p99_fault_ratio=self.p99_fault_ratio,
+        )
 
     def build(self) -> FaultTrace:
         """Generate (or fetch the memoized) trace for this spec.
@@ -180,15 +192,8 @@ class TraceSpec:
             return cached
 
         from repro.faults.convert import convert_trace_8gpu_to_4gpu
-        from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 
-        base = SyntheticTraceConfig(
-            n_nodes=self.source_nodes,
-            duration_days=self.days,
-            seed=self.seed,
-            mean_fault_ratio=self.mean_fault_ratio,
-            p99_fault_ratio=self.p99_fault_ratio,
-        )
+        base = self._synthetic_config()
         if self.correlated is not None:
             # At correlation=0 the correlated generator is an exact
             # pass-through, so this branch is byte-identical to the plain
@@ -653,13 +658,9 @@ class ExperimentSpec:
                 f"known: {list(KNOWN_EXPERIMENTS)}"
             )
         if "sample_interval_hours" in self.options_for("goodput"):
-            # Still accepted (old spec files keep loading) but ignored by the
-            # event-driven replay and scrubbed from dumps/digests.
-            warnings.warn(
-                "goodput option 'sample_interval_hours' is deprecated and has "
-                "no effect: the goodput replay is event-driven and exact",
-                DeprecationWarning,
-                stacklevel=2,
+            raise ValueError(
+                "goodput option 'sample_interval_hours' was removed: the goodput "
+                "replay is event-driven and exact; drop it from the spec"
             )
 
     @classmethod
@@ -693,19 +694,10 @@ class ExperimentSpec:
         return {}
 
     def to_dict(self) -> dict[str, Any]:
-        options: dict[str, dict[str, Any]] = {}
-        for name, opts in self.options:
-            cleaned = dict(opts)
-            # Deprecated, ignored by the event-driven replay: accepted as
-            # input (so the DeprecationWarning fires) but scrubbed from
-            # serialized dumps and digests.
-            if name == "goodput":
-                cleaned.pop("sample_interval_hours", None)
-            options[name] = cleaned
         data = {
             "scenario": self.scenario.to_dict(),
             "experiments": list(self.experiments),
-            "options": options,
+            "options": {name: dict(opts) for name, opts in self.options},
             "max_workers": self.max_workers,
         }
         # Emitted only when it changes behaviour, so single-seed spec files

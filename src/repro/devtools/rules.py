@@ -364,8 +364,8 @@ class FloatAccumulationRule(Rule):
 ``total += value * duration`` in a loop accumulates rounding error that
 depends on summation order, so two mathematically equal replays can emit
 different bytes.  Duration-weighted aggregation must go through
-``math.fsum`` or ``repro.analysis.cdf.StreamingDistribution`` (whose module
-is allow-listed), or carry an explicit ``# repro: allow[D004]``.
+``math.fsum`` or the ``repro.analysis.cdf`` helpers (whose module is
+allow-listed), or carry an explicit ``# repro: allow[D004]``.
 """
     example_module = "repro.scheduler.example"
     bad = """
@@ -427,7 +427,7 @@ def total_waste(intervals) -> float:
                             self.code,
                             node,
                             "bare float += of a duration-weighted product in a loop; "
-                            "use math.fsum / StreamingDistribution for order-stable sums",
+                            "use math.fsum for order-stable sums",
                         )
 
 

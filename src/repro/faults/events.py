@@ -26,11 +26,10 @@ zero-copy between consumers -- treat it as immutable.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,8 +37,6 @@ from numpy.typing import NDArray
 from repro.faults.trace import FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from multiprocessing.shared_memory import SharedMemory
-
     from repro.faults.timeline import FaultInterval
 
 #: One normalized fault transition: ``kind=+1`` the node goes down at
@@ -189,163 +186,9 @@ class ColumnarIntervals:
         return result
 
 
-# --------------------------------------------------------------- transport
-@dataclass
-class TransportStats:
-    """Process-wide counters for the shared-memory transport.
-
-    ``serialized`` counts event logs copied *into* shared memory (one per
-    :meth:`ShmEventLog.from_log`); ``attached`` counts zero-copy
-    reconstructions (one per first :meth:`ShmEventLog.log` call on an
-    unpickled handle).  Tests use the deltas to assert the runner serializes
-    each distinct (trace, cluster) log exactly once.
-    """
-
-    serialized: int = 0
-    attached: int = 0
-
-    def reset(self) -> None:
-        self.serialized = 0
-        self.attached = 0
-
-
-#: The module-wide transport counters (per process).
-TRANSPORT_STATS = TransportStats()
-
-# Keep-alive registry: every segment this process created or attached.  The
-# zero-copy numpy views handed out below do NOT keep the underlying mmap
-# alive (SharedMemory.__del__ unmaps it, leaving live views dangling), so
-# segments are pinned here for the life of the process and only the *name*
-# is ever unlinked.  Bounded by the number of distinct event logs shipped --
-# a handful per experiment run.
-_SEGMENTS: list[SharedMemory] = []
-
-_SHM_AVAILABLE: bool | None = None
-
-
-def shm_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` works on this platform.
-
-    Probed once per process by creating (and immediately destroying) a
-    one-byte segment; some sandboxes import the module fine but fail at
-    ``shm_open``.
-    """
-    global _SHM_AVAILABLE
-    if _SHM_AVAILABLE is None:
-        try:
-            from multiprocessing import shared_memory
-
-            probe = shared_memory.SharedMemory(create=True, size=1)
-            probe.close()
-            probe.unlink()
-        except Exception:
-            _SHM_AVAILABLE = False
-        else:
-            _SHM_AVAILABLE = True
-    return _SHM_AVAILABLE
-
-
-def _attach(name: str) -> SharedMemory:
-    """Open an existing segment without taking cleanup ownership.
-
-    CPython <= 3.12 registers a segment with the resource tracker on
-    *attach* as well as on create (bpo-39959).  Under the fork start method
-    -- the only one the runner fans out with -- every process shares the
-    parent's tracker, where the duplicate registration is a set-add no-op,
-    so a plain attach is already safe; 3.13+ makes the intent explicit with
-    ``track=False``.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python <= 3.12: no ``track`` parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-class ShmEventLog:
-    """A picklable handle to a columnar event log in shared memory.
-
-    Created once from a concrete log (:meth:`from_log` copies the records
-    into a fresh segment); pickles down to ``(name, n_events)`` -- a few
-    dozen bytes regardless of log size -- and reconstructs a **zero-copy**
-    numpy view over the same physical pages in any process that unpickles
-    it (:meth:`log`).
-
-    Lifecycle: the creating process owns the segment and must call
-    :meth:`unlink` when every consumer is done (POSIX keeps the pages alive
-    for processes that still have them mapped).  Attached processes never
-    close or unlink -- their mappings are released at process exit.
-    """
-
-    def __init__(self, name: str, n_events: int) -> None:
-        self.name = name
-        self.n_events = n_events
-        self._segment: SharedMemory | None = None
-        self._view: NDArray[np.void] | None = None
-
-    @classmethod
-    def from_log(cls, log: NDArray[np.void]) -> ShmEventLog:
-        """Copy ``log`` into a new shared-memory segment (one serialization)."""
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=max(1, log.nbytes))
-        _SEGMENTS.append(segment)
-        handle = cls(segment.name, len(log))
-        handle._segment = segment
-        view: NDArray[np.void] = np.ndarray(len(log), dtype=EVENT_DTYPE, buffer=segment.buf)
-        view[:] = log
-        handle._view = view
-        TRANSPORT_STATS.serialized += 1
-        return handle
-
-    def log(self) -> NDArray[np.void]:
-        """The event log as a zero-copy view over the shared segment.
-
-        In the creating process this is the view the records were written
-        through; in a consumer it attaches to the segment by name (counted
-        in :data:`TRANSPORT_STATS`) and maps the same pages -- no copy, no
-        deserialization.
-        """
-        if self._view is None:
-            segment = _attach(self.name)
-            _SEGMENTS.append(segment)
-            self._segment = segment
-            self._view = np.ndarray(self.n_events, dtype=EVENT_DTYPE, buffer=segment.buf)
-            TRANSPORT_STATS.attached += 1
-        return self._view
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator side; best-effort, idempotent)."""
-        segment = self._segment
-        if segment is None:
-            try:
-                segment = _attach(self.name)
-            except (OSError, ValueError):
-                return
-        with contextlib.suppress(OSError, ValueError):
-            segment.unlink()
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {"name": self.name, "n_events": self.n_events}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.name = str(state["name"])
-        self.n_events = int(state["n_events"])
-        self._segment = None
-        self._view = None
-
-    def __repr__(self) -> str:
-        return f"ShmEventLog(name={self.name!r}, n_events={self.n_events})"
-
-
 __all__ = [
     "EVENT_DTYPE",
-    "TRANSPORT_STATS",
     "ColumnarIntervals",
-    "ShmEventLog",
-    "TransportStats",
     "columnar_event_log",
     "event_log_from_intervals",
-    "shm_available",
 ]

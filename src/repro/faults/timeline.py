@@ -11,8 +11,7 @@ piecewise-constant sequence of ``(interval_start, interval_end,
 frozenset(faulty_nodes))`` in O(events log events), independent of the trace
 duration.  Every downstream metric (waste CDF, supported job scale, waiting
 fraction, fault-ratio statistics) becomes a duration-weighted exact quantity
-over these intervals, and the old grid API is a thin compatibility layer that
-resamples the intervals (:meth:`IntervalTimeline.resample`).
+over these intervals.
 
 The sweep itself runs over the *columnar event log*
 (:mod:`repro.faults.events`): the normalized ``(time, node, kind)`` numpy
@@ -28,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,10 +35,8 @@ from numpy.typing import NDArray
 from repro.analysis.cdf import weighted_quantile
 from repro.faults.events import (
     ColumnarIntervals,
-    ShmEventLog,
     columnar_event_log,
     event_log_from_intervals,
-    shm_available,
 )
 from repro.faults.trace import FaultEvent, FaultTrace
 
@@ -111,31 +108,14 @@ def intervals_from_event_log(
     return tuple(intervals)
 
 
-@dataclass
-class IntervalStream:
-    """A lazily produced interval timeline for streaming replay.
-
-    Quacks like :class:`IntervalTimeline` as far as the replay layer needs
-    (``intervals`` / ``n_nodes`` / ``gpus_per_node``), but ``intervals`` may
-    be any iterable -- typically a generator -- so traces far too long to
-    materialise can still be replayed with ``streaming=True`` (see
-    :func:`repro.simulation.cluster.replay_intervals`).  Single-shot when
-    backed by a generator: each replay consumes it.
-    """
-
-    intervals: Iterable[FaultInterval]
-    n_nodes: int
-    gpus_per_node: int
-
-
 @dataclass(frozen=True)
 class IntervalTimeline:
     """The exact fault timeline of a trace over a (possibly restricted) cluster.
 
     Computed once per (trace, cluster size) and shared across every
-    architecture x TP replay -- unlike a sampled grid it is lossless, so any
-    grid can be recovered from it (:meth:`resample`) while every aggregate can
-    be computed exactly as a duration-weighted quantity.
+    architecture x TP replay -- unlike a sampled grid it is lossless: any
+    instant's fault set is one :meth:`fault_set_at` lookup away, and every
+    aggregate is an exact duration-weighted quantity.
     """
 
     intervals: tuple[FaultInterval, ...]
@@ -206,28 +186,6 @@ class IntervalTimeline:
         index = bisect_right(self._starts, hour) - 1
         return self.intervals[index].nodes
 
-    def resample(self, times_hours: Sequence[float]) -> list[frozenset[int]]:
-        """Fault sets at the given instants (the grid compatibility layer).
-
-        For sorted ``times_hours`` this is a linear merge over the intervals;
-        the result is bit-for-bit what per-instant trace scans would produce.
-        """
-        sets: list[frozenset[int]] = []
-        index = 0
-        last = len(self.intervals) - 1
-        previous_t = None
-        for t in times_hours:
-            if previous_t is not None and t < previous_t:  # unsorted: fall back
-                return [self.fault_set_at(t) for t in times_hours]
-            previous_t = t
-            while index < last and self.intervals[index].end_hour <= t:
-                index += 1
-            if self.intervals and self.intervals[index].start_hour <= t < self.intervals[index].end_hour:
-                sets.append(self.intervals[index].nodes)
-            else:
-                sets.append(frozenset())
-        return sets
-
     # ------------------------------------------------------------- statistics
     def mean_fault_ratio(self) -> float:
         """Duration-weighted (exact) mean of the faulty-node ratio."""
@@ -249,113 +207,9 @@ class IntervalTimeline:
         return max(len(interval.nodes) for interval in self.intervals) / self.n_nodes
 
 
-# --------------------------------------------------------------- transport
-def _timeline_from_log(
-    log: NDArray[np.void], duration_hours: float, n_nodes: int, gpus_per_node: int
-) -> IntervalTimeline:
-    """Rebuild the exact timeline of a transported event log.
-
-    The sweep re-runs locally (it is cheap relative to shipping intervals);
-    the log itself -- the bulky part -- is adopted as the pre-seeded
-    ``event_log``, so a shared-memory log stays zero-copy end to end.
-    """
-    intervals = (
-        intervals_from_event_log(log, duration_hours) if duration_hours > 0 else ()
-    )
-    timeline = IntervalTimeline(
-        intervals=intervals, n_nodes=n_nodes, gpus_per_node=gpus_per_node
-    )
-    timeline.__dict__["event_log"] = log
-    return timeline
-
-
-@dataclass(frozen=True, eq=False)
-class ShmTimeline:
-    """A picklable :class:`IntervalTimeline` riding a shared-memory log.
-
-    Pickles to the tiny :class:`~repro.faults.events.ShmEventLog` handle
-    plus three scalars; :meth:`timeline` reconstructs the exact timeline in
-    the receiving process over a zero-copy view of the shared pages.  The
-    creating process must :meth:`unlink` once every consumer is done.
-    """
-
-    handle: ShmEventLog
-    duration_hours: float
-    n_nodes: int
-    gpus_per_node: int
-
-    def timeline(self) -> IntervalTimeline:
-        return _timeline_from_log(
-            self.handle.log(), self.duration_hours, self.n_nodes, self.gpus_per_node
-        )
-
-    def unlink(self) -> None:
-        self.handle.unlink()
-
-
-@dataclass(frozen=True, eq=False)
-class PickledTimeline:
-    """Fallback transport when shared memory is unavailable: the log pickles.
-
-    Same interface as :class:`ShmTimeline`; the event log travels by value
-    (one pickle copy per receiving process) instead of by reference.
-    """
-
-    log: NDArray[np.void]
-    duration_hours: float
-    n_nodes: int
-    gpus_per_node: int
-
-    def timeline(self) -> IntervalTimeline:
-        return _timeline_from_log(
-            self.log, self.duration_hours, self.n_nodes, self.gpus_per_node
-        )
-
-    def unlink(self) -> None:
-        """Nothing to release: the log travelled by value."""
-
-
-#: What :func:`serialize_timeline` hands back: shm when possible, pickle otherwise.
-TimelineTransport = ShmTimeline | PickledTimeline
-
-
-def serialize_timeline(timeline: IntervalTimeline) -> TimelineTransport:
-    """Package ``timeline`` for cheap transport to worker processes.
-
-    Serializes the columnar event log **once** into a shared-memory segment
-    (every worker then maps the same pages zero-copy); falls back to a
-    by-value :class:`PickledTimeline` when shared memory is unavailable or
-    segment creation fails.  Call ``unlink()`` on the result when done.
-    """
-    log = timeline.event_log
-    if shm_available():
-        try:
-            handle = ShmEventLog.from_log(log)
-        except OSError:
-            pass
-        else:
-            return ShmTimeline(
-                handle=handle,
-                duration_hours=timeline.duration_hours,
-                n_nodes=timeline.n_nodes,
-                gpus_per_node=timeline.gpus_per_node,
-            )
-    return PickledTimeline(
-        log=log,
-        duration_hours=timeline.duration_hours,
-        n_nodes=timeline.n_nodes,
-        gpus_per_node=timeline.gpus_per_node,
-    )
-
-
 __all__ = [
     "FaultInterval",
-    "IntervalStream",
     "IntervalTimeline",
-    "PickledTimeline",
-    "ShmTimeline",
-    "TimelineTransport",
     "intervals_from_event_log",
-    "serialize_timeline",
     "sweep_intervals",
 ]

@@ -16,10 +16,9 @@ fault end time, and the ID of the faulty node").
 
 Point queries, series and statistics are backed by the event-driven interval
 engine (:mod:`repro.faults.timeline`): the trace is swept once into its exact
-piecewise-constant fault-set sequence, statistics default to exact
-duration-weighted quantities, and grid sampling is a thin resampling layer
-kept for compatibility (pass ``interval_hours`` to get the legacy
-equal-weight-per-sample behaviour).
+piecewise-constant fault-set sequence, statistics and the CDF are exact
+duration-weighted quantities, and the Figure 18a daily series reads that
+sequence at each grid instant.
 """
 
 from __future__ import annotations
@@ -198,54 +197,30 @@ class FaultTrace:
     ) -> tuple[list[float], list[float]]:
         """(times_in_days, faulty-node ratio) time series (Figure 18a).
 
-        Grid compatibility layer: the exact interval timeline is resampled at
-        ``interval_hours`` spacing, which is bit-for-bit what per-instant
-        trace scans produce but costs O(samples + events) instead of
-        O(samples x events).
+        Each grid instant is one O(log intervals) lookup in the exact
+        interval timeline -- bit-for-bit what a per-instant trace scan
+        produces.
         """
         times = self.sample_times(interval_hours)
-        sets = self.interval_timeline().resample(times)
-        ratios = [len(s) / self.n_nodes for s in sets]
+        timeline = self.interval_timeline()
+        ratios = [len(timeline.fault_set_at(t)) / self.n_nodes for t in times]
         return [t / HOURS_PER_DAY for t in times], ratios
 
-    def fault_ratio_cdf(
-        self, interval_hours: float | None = None
-    ) -> tuple[list[float], list[float]]:
-        """CDF of the faulty-node ratio (Figure 18b): (ratios, cumulative).
-
-        By default this is the exact duration-weighted CDF over the interval
-        timeline; pass ``interval_hours`` for the legacy grid-sampled
-        equal-weight CDF.
-        """
+    def fault_ratio_cdf(self) -> tuple[list[float], list[float]]:
+        """Exact duration-weighted CDF of the faulty-node ratio (Figure 18b)."""
         from repro.analysis.cdf import empirical_cdf
 
-        if interval_hours is not None:
-            _, ratios = self.fault_ratio_series(interval_hours)
-            return empirical_cdf(ratios)
         timeline = self.interval_timeline()
         return empirical_cdf(timeline.fault_ratios, timeline.durations_hours)
 
-    def statistics(self, interval_hours: float | None = None) -> TraceStatistics:
+    def statistics(self) -> TraceStatistics:
         """Summary statistics of the trace (Appendix A numbers).
 
-        By default every ratio statistic is exact: duration-weighted over the
-        interval timeline, independent of any sampling grid.  Pass
-        ``interval_hours`` to reproduce the legacy equal-weight-per-sample
-        statistics on that grid.
+        Every ratio statistic is exact: duration-weighted over the interval
+        timeline, independent of any sampling grid.
         """
         repairs = [e.duration_hours for e in self.events]
         mean_repair = float(np.mean(repairs)) if repairs else 0.0
-        if interval_hours is not None:
-            _, ratios = self.fault_ratio_series(interval_hours)
-            arr = np.asarray(ratios, dtype=float)
-            return TraceStatistics(
-                mean_fault_ratio=float(arr.mean()) if arr.size else 0.0,
-                p50_fault_ratio=float(np.percentile(arr, 50)) if arr.size else 0.0,
-                p99_fault_ratio=float(np.percentile(arr, 99)) if arr.size else 0.0,
-                max_fault_ratio=float(arr.max()) if arr.size else 0.0,
-                mean_repair_hours=mean_repair,
-                n_events=len(self.events),
-            )
         timeline = self.interval_timeline()
         return TraceStatistics(
             mean_fault_ratio=timeline.mean_fault_ratio(),

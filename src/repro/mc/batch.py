@@ -27,7 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.faults.events import EVENT_DTYPE, ShmEventLog, _log_from_runs, shm_available
+from repro.faults.events import EVENT_DTYPE, _log_from_runs
 from repro.faults.timeline import IntervalTimeline, intervals_from_event_log
 from repro.faults.trace import HOURS_PER_DAY
 
@@ -196,68 +196,8 @@ def sample_trace_batch(config: BatchTraceConfig) -> TraceBatch:
     )
 
 
-# --------------------------------------------------------------- transport
-@dataclass(frozen=True, eq=False)
-class ShmTraceBatch:
-    """A picklable :class:`TraceBatch` riding a shared-memory event log.
-
-    Only the stacked ``log`` -- the bulky block -- lives in shared memory;
-    offsets, seeds and scalars travel in the handle (a few hundred bytes
-    even for hundreds of seeds).  :meth:`batch` reconstructs the exact
-    batch in the receiving process over a zero-copy view of the shared
-    pages.  Falls back to by-value pickling of the whole batch when shared
-    memory is unavailable (:meth:`from_batch` returning ``None``); the
-    creating process must :meth:`unlink` once every consumer is done.
-    """
-
-    handle: ShmEventLog
-    event_offsets: tuple[int, ...]
-    n_nodes: int
-    gpus_per_node: int
-    duration_hours: float
-    seeds: tuple[int, ...]
-
-    @classmethod
-    def from_batch(cls, batch: TraceBatch) -> ShmTraceBatch | None:
-        """Package ``batch`` for shm transport (one log serialization).
-
-        Returns ``None`` when shared memory is unavailable or segment
-        creation fails -- callers then ship the :class:`TraceBatch` itself
-        (plain pickle) instead.
-        """
-        if not shm_available():
-            return None
-        try:
-            handle = ShmEventLog.from_log(batch.log)
-        except OSError:
-            return None
-        return cls(
-            handle=handle,
-            event_offsets=tuple(int(o) for o in batch.event_offsets),
-            n_nodes=batch.n_nodes,
-            gpus_per_node=batch.gpus_per_node,
-            duration_hours=batch.duration_hours,
-            seeds=batch.seeds,
-        )
-
-    def batch(self) -> TraceBatch:
-        """The exact batch, its log a zero-copy view of the shared segment."""
-        return TraceBatch(
-            log=self.handle.log(),
-            event_offsets=np.asarray(self.event_offsets, dtype=np.int64),
-            n_nodes=self.n_nodes,
-            gpus_per_node=self.gpus_per_node,
-            duration_hours=self.duration_hours,
-            seeds=self.seeds,
-        )
-
-    def unlink(self) -> None:
-        self.handle.unlink()
-
-
 __all__ = [
     "BatchTraceConfig",
-    "ShmTraceBatch",
     "TraceBatch",
     "sample_trace_batch",
 ]

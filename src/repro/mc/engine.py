@@ -315,13 +315,10 @@ def replay_batch(
         )
     kernel = kernel_for(architecture, batch.n_nodes, tp_size)
     if kernel is None:
-        scalar = []
-        for index in range(batch.n_seeds):
-            series = replay_intervals(
-                architecture, batch.timeline_for_seed(index), tp_size
-            )
-            assert isinstance(series, IntervalSeries)
-            scalar.append(series)
+        scalar = [
+            replay_intervals(architecture, batch.timeline_for_seed(index), tp_size)
+            for index in range(batch.n_seeds)
+        ]
         return BatchSeries.from_interval_series(scalar, seeds=batch.seeds)
     return _replay_batch_vectorized(architecture, batch, tp_size, kernel)
 

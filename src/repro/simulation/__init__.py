@@ -4,8 +4,7 @@
 against an HBD architecture model and produces the fault-resilience metrics
 of the paper: GPU waste ratio over time and as a CDF, the maximum supported
 job scale, and the job fault-waiting rate.  Replays are event-driven over the
-exact interval timeline (:func:`repro.simulation.cluster.replay_intervals`);
-the grid-sampled path is kept as a compatibility layer.
+exact interval timeline (:func:`repro.simulation.cluster.replay_intervals`).
 :mod:`repro.simulation.sweeps` provides the fault-ratio sweep counterparts
 (Figures 14 and 22) and the architecture comparison helpers used by the
 benchmark harness.
@@ -13,12 +12,8 @@ benchmark harness.
 
 from repro.simulation.cluster import (
     ClusterSimulator,
-    FaultTimeline,
     IntervalSeries,
-    SimulationSeries,
-    StreamingIntervalSeries,
     replay_intervals,
-    replay_timeline,
 )
 from repro.simulation.goodput import (
     GoodputConfig,
@@ -43,12 +38,8 @@ from repro.simulation.sweeps import (
 
 __all__ = [
     "ClusterSimulator",
-    "FaultTimeline",
     "IntervalSeries",
-    "SimulationSeries",
-    "StreamingIntervalSeries",
     "replay_intervals",
-    "replay_timeline",
     "GoodputConfig",
     "GoodputReport",
     "GoodputSimulator",

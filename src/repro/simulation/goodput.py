@@ -29,8 +29,7 @@ per arrival).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.faults.trace import FaultTrace
@@ -39,20 +38,12 @@ from repro.hbd.base import HBDArchitecture
 
 @dataclass(frozen=True)
 class GoodputConfig:
-    """Parameters of the replayed training job.
-
-    ``sample_interval_hours`` is deprecated: the replay is event-driven and
-    exact, so the value has no effect.  Setting it to anything but the
-    default emits a :class:`DeprecationWarning`, and the field is excluded
-    from ``repr`` so the dead knob does not leak into logs or serialized
-    dumps built from it.
-    """
+    """Parameters of the replayed training job."""
 
     job_gpus: int
     tp_size: int
     checkpoint_interval_hours: float = 1.0
     restart_overhead_hours: float = 0.25
-    sample_interval_hours: float = field(default=1.0, repr=False)
 
     def __post_init__(self) -> None:
         if self.job_gpus < 1 or self.tp_size < 1:
@@ -63,13 +54,6 @@ class GoodputConfig:
             raise ValueError("intervals must be positive")
         if self.restart_overhead_hours < 0:
             raise ValueError("restart_overhead_hours must be non-negative")
-        if self.sample_interval_hours != 1.0:
-            warnings.warn(
-                "GoodputConfig.sample_interval_hours is deprecated and has no "
-                "effect: the goodput replay is event-driven and exact",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -121,9 +105,6 @@ class GoodputSimulator:
         # Keep the source trace: its per-size timeline cache is shared, so a
         # whole architecture line-up replays one swept timeline.
         self._source_trace = trace
-        self.trace = (
-            trace if self.n_nodes == trace.n_nodes else trace.restrict_nodes(self.n_nodes)
-        )
         if config.job_gpus > self.n_nodes * architecture.gpus_per_node:
             raise ValueError("job larger than the cluster")
 

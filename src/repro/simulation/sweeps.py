@@ -11,15 +11,14 @@ paper's fault-resilience figures:
 * :func:`max_job_scale_comparison` -- Figure 15.
 * :func:`fault_waiting_comparison` -- Figures 16 and 23.
 
-Since the Unified Experiment API landed these are thin shims over
-:mod:`repro.api.runner`: the trace is swept once into a shared exact
-:class:`~repro.faults.timeline.IntervalTimeline` and replayed event-driven
-against every architecture (each replay returns an exact, duration-weighted
-:class:`~repro.simulation.cluster.IntervalSeries`), and every function takes
-``max_workers`` to fan the line-up out over a process pool (default: serial,
-preserving the historical behaviour).  Prefer
-:class:`repro.api.ExperimentRunner` for new code -- it adds declarative
-specs, memoized traces and serializable results.
+The trace-driven helpers sweep the trace once into a shared exact
+:class:`~repro.faults.timeline.IntervalTimeline` and replay it serially
+against every architecture with
+:func:`~repro.simulation.cluster.replay_intervals` (each replay returns an
+exact, duration-weighted :class:`~repro.simulation.cluster.IntervalSeries`).
+Prefer :class:`repro.api.ExperimentRunner` for new code -- it adds
+declarative specs, memoized traces, process parallelism and serializable
+results.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from collections.abc import Sequence
 from repro.faults.model import IIDFaultModel
 from repro.faults.trace import FaultTrace
 from repro.hbd.base import HBDArchitecture
-from repro.simulation.cluster import IntervalSeries
+from repro.simulation.cluster import IntervalSeries, replay_intervals
 
 
 def architecture_comparison_over_trace(
@@ -37,14 +36,10 @@ def architecture_comparison_over_trace(
     trace: FaultTrace,
     tp_size: int,
     n_nodes: int | None = None,
-    max_workers: int | None = 1,
 ) -> dict[str, IntervalSeries]:
     """Replay ``trace`` against every architecture for one TP size (exact)."""
-    from repro.api.runner import compare_architectures_over_trace
-
-    return compare_architectures_over_trace(
-        architectures, trace, tp_size, n_nodes=n_nodes, max_workers=max_workers
-    )
+    timeline = trace.interval_timeline(n_nodes)
+    return {arch.name: replay_intervals(arch, timeline, tp_size) for arch in architectures}
 
 
 def waste_ratio_vs_fault_ratio(
@@ -72,17 +67,15 @@ def max_job_scale_comparison(
     tp_sizes: Sequence[int],
     n_nodes: int | None = None,
     availability: float = 1.0,
-    max_workers: int | None = 1,
 ) -> dict[str, dict[int, int]]:
     """Maximum job scale (GPUs) supported through the trace (Figure 15)."""
-    from repro.api.runner import compare_architectures_over_tp_sizes
-
-    grid = compare_architectures_over_tp_sizes(
-        architectures, trace, tp_sizes, n_nodes=n_nodes, max_workers=max_workers
-    )
+    timeline = trace.interval_timeline(n_nodes)
     return {
-        name: {tp: series.supported_job_scale(availability) for tp, series in per_tp.items()}
-        for name, per_tp in grid.items()
+        arch.name: {
+            tp: replay_intervals(arch, timeline, tp).supported_job_scale(availability)
+            for tp in tp_sizes
+        }
+        for arch in architectures
     }
 
 
@@ -92,13 +85,10 @@ def fault_waiting_comparison(
     tp_size: int,
     job_scales: Sequence[int],
     n_nodes: int | None = None,
-    max_workers: int | None = 1,
 ) -> dict[str, dict[int, float]]:
     """Job fault-waiting rate versus job scale (Figures 16 / 23)."""
-    from repro.api.runner import compare_architectures_over_trace
-
-    comparison = compare_architectures_over_trace(
-        architectures, trace, tp_size, n_nodes=n_nodes, max_workers=max_workers
+    comparison = architecture_comparison_over_trace(
+        architectures, trace, tp_size, n_nodes=n_nodes
     )
     return {
         name: {scale: series.fault_waiting_rate(scale) for scale in job_scales}

@@ -13,7 +13,7 @@ from repro.hbd import (
     TPUv4HBD,
     default_architectures,
 )
-from repro.simulation.cluster import ClusterSimulator, SimulationSeries
+from repro.simulation.cluster import ClusterSimulator
 from repro.simulation.sweeps import (
     architecture_comparison_over_trace,
     fault_waiting_comparison,

@@ -1,19 +1,15 @@
-"""Tests for incremental (delta) breakdown replay and streaming aggregation.
+"""Tests for incremental (delta) breakdown replay.
 
 The correctness contract of the delta path is *bit-for-bit* equality: a
 sweep-line walk advancing one :meth:`~repro.hbd.base.HBDArchitecture.
 breakdown_delta` state per interval must produce exactly the series the
-memoized full-recompute replay produces, which in turn matches the seed's
-grid scans (pinned in test_fault_timeline.py).  Streaming aggregation is
-held to the same standard where float summation order allows (integer-time
-traces) and to tight tolerances otherwise.
+memoized full-recompute replay produces, which in turn matches per-instant
+breakdowns of the exact fault set (pinned in test_fault_timeline.py).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.cdf import StreamingDistribution, empirical_cdf, weighted_quantile
-from repro.faults.timeline import FaultInterval, IntervalStream, IntervalTimeline
 from repro.faults.trace import FaultEvent, FaultTrace, HOURS_PER_DAY
 from repro.hbd import (
     BigSwitchHBD,
@@ -22,13 +18,7 @@ from repro.hbd import (
     SiPRingHBD,
     TPUv4HBD,
 )
-from repro.simulation.cluster import (
-    IntervalSeries,
-    StreamingIntervalSeries,
-    replay_intervals,
-    replay_timeline,
-    FaultTimeline,
-)
+from repro.simulation.cluster import replay_intervals
 
 N_NODES = 24
 DURATION_DAYS = 4
@@ -50,13 +40,6 @@ float_event = st.tuples(
               allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=40.0, allow_nan=False, allow_infinity=False),
 )
-
-int_event = st.tuples(
-    st.integers(min_value=0, max_value=N_NODES - 1),
-    st.integers(min_value=0, max_value=int(DURATION_HOURS) - 1),
-    st.integers(min_value=1, max_value=40),
-)
-
 
 def build_trace(raw_events):
     events = [
@@ -188,7 +171,7 @@ class TestBreakdownDelta:
 
 
 # --------------------------------------------------------------------------
-# replay equality: delta walk == memoized full recompute == seed grid path
+# replay equality: delta walk == memoized full recompute == per-instant scan
 # --------------------------------------------------------------------------
 class TestDeltaReplayEquality:
     @settings(max_examples=40, deadline=None)
@@ -205,22 +188,19 @@ class TestDeltaReplayEquality:
     @settings(max_examples=20, deadline=None)
     @given(raw=st.lists(float_event, max_size=20))
     def test_delta_replay_matches_seed_grid_path(self, raw):
-        """Grid samples are resampled intervals, so the three paths agree."""
+        """The seed's hourly grid: one full breakdown per sampled instant."""
         trace = build_trace(raw)
         timeline = trace.interval_timeline()
         arch = NVLHBD(8, gpus_per_node=4)
         delta = replay_intervals(arch, timeline, 8, incremental=True)
-        grid = replay_timeline(
-            arch, FaultTimeline.from_trace(trace, sample_interval_hours=1.0), 8
-        )
-        # Each grid sample falls inside exactly one interval; its replayed
-        # value must equal that interval's delta-replayed value.
+        # Each grid sample falls inside exactly one interval; its breakdown
+        # must equal that interval's delta-replayed value.
         index = 0
-        for t_days, waste in zip(grid.times_days, grid.waste_ratios):
-            t = t_days * HOURS_PER_DAY
+        for t in trace.sample_times(1.0):
             while index < len(delta) - 1 and delta.ends_hours[index] <= t:
                 index += 1
-            assert waste == delta.waste_ratios[index]
+            grid = arch.breakdown(N_NODES, timeline.fault_set_at(t), 8)
+            assert grid.waste_ratio == delta.waste_ratios[index]
 
     def test_auto_mode_picks_delta_only_when_supported(self):
         trace = build_trace([(0, 10.0, 5.0), (7, 30.0, 2.0)])
@@ -229,129 +209,6 @@ class TestDeltaReplayEquality:
             auto = replay_intervals(arch, timeline, 8)
             full = replay_intervals(arch, timeline, 8, incremental=False)
             assert auto == full
-
-
-# --------------------------------------------------------------------------
-# streaming aggregation
-# --------------------------------------------------------------------------
-def assert_streaming_matches(streaming, materialised, exact):
-    approx = (lambda x: x) if exact else (lambda x: pytest.approx(x, rel=1e-9, abs=1e-12))
-    assert len(streaming) == len(materialised)
-    assert streaming.total_gpus == materialised.total_gpus
-    assert streaming.min_usable_gpus == materialised.min_usable_gpus
-    assert streaming.max_waste_ratio == materialised.max_waste_ratio
-    assert streaming.mean_waste_ratio == approx(materialised.mean_waste_ratio)
-    for q in (0.0, 0.5, 0.9, 0.99, 1.0):
-        assert streaming.waste_ratio_quantile(q) == approx(
-            materialised.waste_ratio_quantile(q)
-        )
-    for job_gpus in (1, 16, 40, 96):
-        assert streaming.fault_waiting_rate(job_gpus) == approx(
-            materialised.fault_waiting_rate(job_gpus)
-        )
-    assert streaming.supported_job_scale(1.0) == materialised.supported_job_scale(1.0)
-    if exact:
-        for availability in (0.5, 0.9, 0.99):
-            assert streaming.supported_job_scale(availability) == \
-                materialised.supported_job_scale(availability)
-    # The streaming CDF collapses duplicate values; as a step function it is
-    # the materialised CDF evaluated at the last duplicate of each value.
-    values, cumulative = streaming.waste_ratio_cdf()
-    m_values, m_cumulative = materialised.waste_ratio_cdf()
-    expected = {}
-    for v, c in zip(m_values, m_cumulative):
-        expected[v] = c  # later (higher-cumulative) duplicates win
-    assert values == sorted(expected)
-    for v, c in zip(values, cumulative):
-        assert c == approx(expected[v])
-
-
-class TestStreamingAggregation:
-    @settings(max_examples=40, deadline=None)
-    @given(raw=st.lists(int_event, max_size=30), tp_index=st.integers(0, 2))
-    def test_integer_time_traces_match_exactly(self, raw, tp_index):
-        """Integer durations sum exactly, so grouping loses nothing at all."""
-        tp_size = (4, 8, 16)[tp_index]
-        trace = build_trace(raw)
-        timeline = trace.interval_timeline()
-        for arch in (NVLHBD(8, gpus_per_node=4), SiPRingHBD(gpus_per_node=4)):
-            materialised = replay_intervals(arch, timeline, tp_size)
-            streaming = replay_intervals(arch, timeline, tp_size, streaming=True)
-            assert_streaming_matches(streaming, materialised, exact=True)
-
-    @settings(max_examples=40, deadline=None)
-    @given(raw=st.lists(float_event, max_size=30))
-    def test_float_time_traces_match_within_tolerance(self, raw):
-        trace = build_trace(raw)
-        timeline = trace.interval_timeline()
-        for arch in (NVLHBD(8, gpus_per_node=4), BigSwitchHBD(gpus_per_node=4)):
-            materialised = replay_intervals(arch, timeline, 8)
-            streaming = replay_intervals(arch, timeline, 8, streaming=True)
-            assert_streaming_matches(streaming, materialised, exact=False)
-
-    def test_streaming_works_for_both_replay_modes(self):
-        trace = build_trace([(0, 5.0, 20.0), (3, 40.0, 8.0), (9, 41.0, 3.0)])
-        timeline = trace.interval_timeline()
-        arch = NVLHBD(8, gpus_per_node=4)
-        s_delta = replay_intervals(arch, timeline, 8, incremental=True, streaming=True)
-        s_full = replay_intervals(arch, timeline, 8, incremental=False, streaming=True)
-        assert s_delta.mean_waste_ratio == s_full.mean_waste_ratio
-        assert s_delta.waste_ratio_cdf() == s_full.waste_ratio_cdf()
-
-    def test_empty_timeline(self):
-        timeline = IntervalStream(iter(()), n_nodes=N_NODES, gpus_per_node=4)
-        series = replay_intervals(NVLHBD(8, gpus_per_node=4), timeline, 8, streaming=True)
-        assert len(series) == 0
-        assert series.total_hours == 0.0
-        assert series.mean_waste_ratio == 0.0
-        assert series.supported_job_scale(1.0) == 0
-
-
-# --------------------------------------------------------------------------
-# generator-backed replay: the interval list is never materialised
-# --------------------------------------------------------------------------
-class TestGeneratorBackedReplay:
-    N_INTERVALS = 100_000
-
-    def _interval_generator(self):
-        """A square-wave fault process far longer than anyone should hold.
-
-        Yields intervals lazily; alternating halves have node 0 faulty.  A
-        materialising replay would build five 100k-entry lists; the
-        streaming replay folds each interval into O(distinct levels)
-        accumulators as it goes.
-        """
-        for i in range(self.N_INTERVALS):
-            nodes = frozenset({0}) if i % 2 else frozenset()
-            yield FaultInterval(float(i), float(i + 1), nodes)
-
-    def test_streaming_replay_of_generator_timeline(self):
-        arch = NVLHBD(8, gpus_per_node=4)
-        timeline = IntervalStream(
-            intervals=self._interval_generator(), n_nodes=N_NODES, gpus_per_node=4
-        )
-        series = replay_intervals(arch, timeline, 8, streaming=True)
-        assert isinstance(series, StreamingIntervalSeries)
-        assert len(series) == self.N_INTERVALS
-        # Aggregates-only by construction: no per-interval storage exists.
-        assert not hasattr(series, "waste_ratios")
-        assert not hasattr(series, "starts_hours")
-        assert series.waste.n_values == 2
-        assert series.usable.n_values == 2
-        # Closed form: node 0 faulty half the time; on NVL-8 one faulty
-        # 4-GPU node wastes the other 4 GPUs of its unit at TP-8.
-        healthy = arch.breakdown(N_NODES, (), 8)
-        degraded = arch.breakdown(N_NODES, {0}, 8)
-        assert series.min_usable_gpus == degraded.usable_gpus
-        expected_mean = (healthy.waste_ratio + degraded.waste_ratio) / 2.0
-        assert series.mean_waste_ratio == pytest.approx(expected_mean, rel=1e-12)
-        assert series.fault_waiting_rate(healthy.usable_gpus) == pytest.approx(
-            0.5, rel=1e-12
-        )
-        assert series.total_hours == float(self.N_INTERVALS)
-        # The generator is exhausted -- proof the walk consumed it lazily
-        # rather than snapshotting it up front.
-        assert next(iter(timeline.intervals), None) is None
 
 
 # --------------------------------------------------------------------------
@@ -384,62 +241,3 @@ class TestSchedulerDeltaCapacity:
         ).run()
         assert fast == slow
 
-
-# --------------------------------------------------------------------------
-# the StreamingDistribution accumulator itself
-# --------------------------------------------------------------------------
-class TestStreamingDistribution:
-    def test_empty(self):
-        dist = StreamingDistribution()
-        assert dist.mean() == 0.0
-        assert dist.min() == 0.0 and dist.max() == 0.0
-        assert dist.cdf() == ([], [])
-        assert len(dist) == 0 and dist.n_values == 0
-
-    def test_rejects_negative_weight(self):
-        dist = StreamingDistribution()
-        with pytest.raises(ValueError):
-            dist.add(1.0, -0.5)
-
-    def test_zero_weight_value_still_counts_as_level(self):
-        dist = StreamingDistribution()
-        dist.add(5.0, 0.0)
-        dist.add(7.0, 2.0)
-        assert dist.min() == 5.0
-        assert dist.mean() == 7.0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=8),
-                st.integers(min_value=0, max_value=100),
-            ),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_matches_materialised_helpers(self, pairs):
-        """Integer values/weights: exact agreement with the list-based helpers."""
-        values = [float(v) for v, _ in pairs]
-        weights = [float(w) for _, w in pairs]
-        dist = StreamingDistribution()
-        for v, w in zip(values, weights):
-            dist.add(v, w)
-        assert dist.total_weight == sum(weights)
-        if sum(weights) > 0:
-            assert dist.mean() == pytest.approx(
-                sum(v * w for v, w in zip(values, weights)) / sum(weights)
-            )
-            for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-                assert dist.quantile(q) == weighted_quantile(values, weights, q)
-            sorted_distinct, cumulative = dist.cdf()
-            ref_values, ref_cumulative = empirical_cdf(values, weights)
-            ref_last = {v: c for v, c in zip(ref_values, ref_cumulative)}
-            assert sorted_distinct == sorted(ref_last)
-            for v, c in zip(sorted_distinct, cumulative):
-                assert c == pytest.approx(ref_last[v])
-        threshold = 4.5
-        assert dist.weight_below(threshold) == sum(
-            w for v, w in zip(values, weights) if v < threshold
-        )

@@ -6,6 +6,7 @@ determinism (same seed => identical ExperimentResult), plus the CLI ``run
 --spec`` path end to end.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -102,38 +103,27 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="typo_field"):
             Scenario.from_dict(scenario)
 
-    def test_deprecated_goodput_sample_interval_scrubbed_from_dumps(self):
-        # Regression: the deprecated (no-effect) knob used to survive into
-        # spec dumps and digests.  It is still *accepted* as input -- old
-        # spec files keep loading and keep triggering the deprecation path
-        # -- but serialized output and the digest are clean.
-        def spec_with(options):
-            return ExperimentSpec.of(
-                scenario=Scenario.default("scrub", trace=TraceSpec(days=10)),
-                experiments=("goodput",),
-                options=options,
-            )
-
-        with pytest.warns(DeprecationWarning, match="sample_interval_hours"):
-            noisy = spec_with(
-                {"goodput": {"job_gpus": 64, "sample_interval_hours": 6.0}}
-            )
-        clean = spec_with({"goodput": {"job_gpus": 64}})
-        assert noisy.options_for("goodput")["sample_interval_hours"] == 6.0
-        # Loading an old spec file (dict form) warns too.
-        with pytest.warns(DeprecationWarning, match="sample_interval_hours"):
-            reloaded = ExperimentSpec.from_dict(
+    def test_removed_goodput_sample_interval_rejected(self):
+        # The knob had no effect once the goodput replay became exact; a spec
+        # file still carrying it fails at parse time instead of loading.
+        with pytest.raises(ValueError, match="sample_interval_hours"):
+            ExperimentSpec.from_dict(
                 {
-                    "scenario": noisy.scenario.to_dict(),
+                    "scenario": small_spec().scenario.to_dict(),
                     "experiments": ["goodput"],
-                    "options": {"goodput": {"sample_interval_hours": 6.0}},
+                    "options": {"goodput": {"job_gpus": 64, "sample_interval_hours": 6.0}},
                 }
             )
-        assert "sample_interval_hours" not in reloaded.to_json()
-        assert "sample_interval_hours" not in noisy.to_dict()["options"]["goodput"]
-        assert "sample_interval_hours" not in noisy.to_json()
-        assert noisy.to_dict() == clean.to_dict()
-        assert noisy.digest() == clean.digest()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("days", -5), ("days", 0), ("source_nodes", 0), ("mean_fault_ratio", 0.0)],
+    )
+    def test_bad_trace_rejected_at_parse_time(self, field, value):
+        scenario = small_spec().scenario.to_dict()
+        scenario["trace"][field] = value
+        with pytest.raises(ValueError, match="must be"):
+            ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
 
 
 class TestRegistry:
@@ -204,11 +194,29 @@ class TestRunner:
         second = ExperimentRunner(spec, max_workers=1).run()
         assert first == second
 
-    def test_parallel_matches_serial(self):
-        spec = small_spec(experiments=("waste", "fault_waiting"))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            small_spec(experiments=("waste", "fault_waiting")),
+            dataclasses.replace(
+                small_spec(experiments=("waste", "max_job_scale", "fault_waiting")),
+                num_seeds=2,
+            ),
+            ExperimentSpec.of(
+                scenario=small_spec(
+                    tp_sizes=(32,),
+                    workload=WorkloadSpec(n_jobs=20, seed=5, mean_interarrival_hours=2.0),
+                ).scenario,
+                experiments=("schedule", "blast_radius"),
+                options={"blast_radius": {"correlations": [0.0, 1.0]}},
+            ),
+        ],
+        ids=["line-up", "multi-seed", "schedule-blast-radius"],
+    )
+    def test_parallel_matches_serial(self, spec):
         serial = ExperimentRunner(spec, max_workers=1).run()
         parallel = ExperimentRunner(spec, max_workers=2).run()
-        assert serial == parallel
+        assert parallel.to_json() == serial.to_json()
 
     def test_custom_registered_architecture_runs_by_name(self):
         name = "test-dual-rail"

@@ -9,13 +9,7 @@ from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trac
 from repro.faults.timeline import FaultInterval, IntervalTimeline, sweep_intervals
 from repro.faults.trace import FaultEvent, FaultTrace, HOURS_PER_DAY
 from repro.hbd import BigSwitchHBD, InfiniteHBDArchitecture, NVLHBD
-from repro.simulation.cluster import (
-    ClusterSimulator,
-    FaultTimeline,
-    IntervalSeries,
-    replay_intervals,
-    replay_timeline,
-)
+from repro.simulation.cluster import ClusterSimulator, IntervalSeries, replay_intervals
 
 
 # --------------------------------------------------------------------------
@@ -125,31 +119,17 @@ class TestSweepIntervals:
 
 
 class TestGridCompatibility:
-    """Grid mode = "resample the exact intervals": bit-for-bit with the seed."""
+    """The Figure 18a grid series reads the exact intervals, bit-for-bit."""
 
     @given(st.lists(event_strategy, max_size=25),
            st.sampled_from([24.0, 7.0, 1.0, 0.3]))
     @settings(max_examples=60, deadline=None)
     def test_resampled_grid_matches_naive_scans(self, raw_events, interval_hours):
         trace = build_trace(raw_events)
-        grid = FaultTimeline.from_trace(trace, sample_interval_hours=interval_hours)
-        expected = tuple(naive_fault_set(trace, t) for t in grid.times_hours)
-        assert grid.fault_sets == expected
-
-    @given(st.lists(event_strategy, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_grid_replay_reproduces_seed_series_bit_for_bit(self, raw_events):
-        trace = build_trace(raw_events)
-        arch = BigSwitchHBD(gpus_per_node=4)
-        grid = FaultTimeline.from_trace(trace, sample_interval_hours=24.0)
-        series = replay_timeline(arch, grid, 4)
-        # The seed loop: one per-sample scan + one breakdown per sample.
-        for t, waste, usable in zip(
-            grid.times_hours, series.waste_ratios, series.usable_gpus
-        ):
-            breakdown = arch.breakdown(N_NODES, naive_fault_set(trace, t), 4)
-            assert waste == breakdown.waste_ratio
-            assert usable == breakdown.usable_gpus
+        days, ratios = trace.fault_ratio_series(interval_hours)
+        times = trace.sample_times(interval_hours)
+        assert days == [t / HOURS_PER_DAY for t in times]
+        assert ratios == [len(naive_fault_set(trace, t)) / N_NODES for t in times]
 
     @given(st.lists(event_strategy, max_size=20))
     @settings(max_examples=40, deadline=None)
@@ -172,9 +152,9 @@ class TestGridCompatibility:
             SyntheticTraceConfig(n_nodes=60, duration_days=45, seed=7)
         )
         exact = trace.statistics()
-        sampled = trace.statistics(interval_hours=24.0)
-        assert exact.mean_fault_ratio == pytest.approx(sampled.mean_fault_ratio, abs=1e-12)
-        assert exact.max_fault_ratio == pytest.approx(sampled.max_fault_ratio, abs=1e-12)
+        _, daily = trace.fault_ratio_series(24.0)
+        assert exact.mean_fault_ratio == pytest.approx(sum(daily) / len(daily), abs=1e-12)
+        assert exact.max_fault_ratio == pytest.approx(max(daily), abs=1e-12)
 
 
 class TestIntervalTimeline:
@@ -195,12 +175,6 @@ class TestIntervalTimeline:
         timeline = trace.interval_timeline()
         assert timeline.fault_set_at(-1.0) == frozenset()
         assert timeline.fault_set_at(trace.duration_hours) == frozenset()
-
-    def test_resample_handles_unsorted_times(self):
-        trace = build_trace([(0, 0.0, 10.0)])
-        timeline = trace.interval_timeline()
-        sets = timeline.resample([50.0, 5.0])
-        assert sets == [frozenset(), frozenset({0})]
 
     def test_statistics_weighting(self):
         # Node 0 down for 24 of 96 hours: exact mean ratio = 0.25 * 1/12.
@@ -303,6 +277,14 @@ class TestIntervalSeries:
         assert series.waste_ratio_cdf() == ([], [])
 
 
+def daily_grid_breakdowns(arch, trace, tp_size):
+    """The seed's daily grid: one full breakdown per sampled instant."""
+    return [
+        arch.breakdown(trace.n_nodes, naive_fault_set(trace, t), tp_size)
+        for t in trace.sample_times(HOURS_PER_DAY)
+    ]
+
+
 class TestExactVsGridReplay:
     """Exact aggregates agree with fine grids and beat coarse ones."""
 
@@ -315,12 +297,13 @@ class TestExactVsGridReplay:
 
     def test_exact_equals_daily_grid_on_day_granular_trace(self, trace):
         arch = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
-        sim = ClusterSimulator(arch, trace, n_nodes=trace.n_nodes)
-        grid = sim.run(32)
-        exact = sim.run_exact(32)
-        assert exact.mean_waste_ratio == pytest.approx(grid.mean_waste_ratio, abs=1e-12)
-        assert exact.min_usable_gpus == grid.min_usable_gpus
-        assert exact.supported_job_scale(1.0) == grid.supported_job_scale(1.0)
+        exact = ClusterSimulator(arch, trace, n_nodes=trace.n_nodes).run(32)
+        grid = daily_grid_breakdowns(arch, trace, 32)
+        grid_mean = sum(b.waste_ratio for b in grid) / len(grid)
+        grid_min = min(b.usable_gpus for b in grid)
+        assert exact.mean_waste_ratio == pytest.approx(grid_mean, abs=1e-12)
+        assert exact.min_usable_gpus == grid_min
+        assert exact.supported_job_scale(1.0) == grid_min
 
     def test_exact_catches_sub_grid_dips(self):
         # A 1-hour blip is invisible to the daily grid (it falls between
@@ -328,10 +311,8 @@ class TestExactVsGridReplay:
         events = [FaultEvent(node_id=0, start_hour=30.0, end_hour=31.0)]
         trace = FaultTrace(n_nodes=10, duration_days=4, events=events, gpus_per_node=4)
         arch = BigSwitchHBD(4)
-        sim = ClusterSimulator(arch, trace)
-        grid = sim.run(4)
-        exact = sim.run_exact(4)
-        assert grid.min_usable_gpus == 40          # the grid never saw it
-        assert exact.min_usable_gpus == 36         # the exact replay did
+        exact = ClusterSimulator(arch, trace).run(4)
+        grid = daily_grid_breakdowns(arch, trace, 4)
+        assert min(b.usable_gpus for b in grid) == 40  # the grid never saw it
+        assert exact.min_usable_gpus == 36             # the exact replay did
         assert exact.fault_waiting_rate(40) == pytest.approx(1.0 / 96.0)
-        assert grid.fault_waiting_rate(40) == 0.0

@@ -513,16 +513,3 @@ class TestSingleJobReproducesGoodput:
             expected.job_impacting_faults, abs=1e-12
         )
         assert actual.goodput == pytest.approx(expected.goodput, abs=1e-12)
-
-    def test_deprecated_sample_interval_warns(self):
-        with pytest.warns(DeprecationWarning, match="sample_interval_hours"):
-            GoodputConfig(job_gpus=64, tp_size=32, sample_interval_hours=6.0)
-
-    def test_deprecated_sample_interval_absent_from_repr(self):
-        # Regression: the deprecated knob used to leak into repr (and any
-        # dump built from it) even though it has no effect.
-        config = GoodputConfig(job_gpus=64, tp_size=32)
-        assert "sample_interval_hours" not in repr(config)
-        with pytest.warns(DeprecationWarning):
-            noisy = GoodputConfig(job_gpus=64, tp_size=32, sample_interval_hours=6.0)
-        assert "sample_interval_hours" not in repr(noisy)
