@@ -2,11 +2,15 @@
 
 A 100-seed uncertainty sweep used to mean 100 independent Python interval
 replays.  ``repro.mc.replay_batch`` replays the whole seed block in one
-vectorized pass over the stacked columnar event log (segmented cumsums +
-per-domain table gathers), with per-seed results bit-for-bit equal to the
-scalar ``replay_intervals`` output.  This benchmark stacks 100 synthetic
-seeds, replays them both ways, verifies the bit-for-bit contract, and gates
-the batched engine at >= 10x over the scalar loop.
+vectorized pass over the stacked columnar event log, with per-seed results
+bit-for-bit equal to the scalar ``replay_intervals`` output.  This benchmark
+stacks 100 synthetic seeds and replays them both ways for two architectures,
+one per vectorized pass, verifying the bit-for-bit contract for each:
+
+* NVL-72 takes the count pass (segmented cumsums + per-domain table
+  gathers), gated at >= 10x over the scalar loop;
+* InfiniteHBD (K=2) takes the K-hop segment pass, gated at >= 5x over the
+  scalar loop -- the delta walk single-seed runs replay it with.
 
 Trace sampling and the per-seed timeline materialisation both happen
 *outside* the timed regions: the comparison is replay vs replay.
@@ -14,9 +18,10 @@ Trace sampling and the per-seed timeline materialisation both happen
 
 import time
 
+import pytest
 from conftest import emit_report, format_table
 
-from repro.hbd import NVLHBD
+from repro.hbd import NVLHBD, InfiniteHBDArchitecture
 from repro.mc import BatchTraceConfig, replay_batch, sample_trace_batch
 from repro.simulation.cluster import replay_intervals
 
@@ -25,6 +30,7 @@ N_NODES = 400
 DURATION_DAYS = 348
 TP_SIZE = 32
 MIN_SPEEDUP = 10.0
+MIN_INFINITEHBD_SPEEDUP = 5.0
 
 
 def _scalar_loop(architecture, timelines):
@@ -37,7 +43,8 @@ def _timed(fn, *args):
     return time.perf_counter() - start
 
 
-def test_mc_replay_speedup(benchmark):
+@pytest.fixture(scope="module")
+def seed_block():
     batch = sample_trace_batch(
         BatchTraceConfig(
             n_seeds=N_SEEDS,
@@ -47,11 +54,15 @@ def test_mc_replay_speedup(benchmark):
             seed=120,
         )
     )
-    architecture = NVLHBD(72, gpus_per_node=8)
     # Materialised outside the timed region: the scalar loop is charged for
     # its replays only, not for slicing timelines back out of the batch.
     timelines = [batch.timeline_for_seed(i) for i in range(batch.n_seeds)]
+    return batch, timelines
 
+
+def _replay_both_ways(benchmark, architecture, batch, timelines):
+    """Time both paths, assert per-seed bit-for-bit equality; return the
+    speedup and the report rows."""
     # Warm-up: one untimed pass each, so neither side is charged for
     # first-call setup (columnar caches, numpy kernel dispatch).
     scalar_series = _scalar_loop(architecture, timelines)
@@ -82,24 +93,30 @@ def test_mc_replay_speedup(benchmark):
         means[i] == scalar_series[i].mean_waste_ratio for i in range(N_SEEDS)
     )
 
-    text = format_table(
-        ["metric", "value"],
-        [
-            ["seeds", N_SEEDS],
-            ["trace nodes (8-GPU)", N_NODES],
-            ["trace days", DURATION_DAYS],
-            ["stacked events", len(batch.log)],
-            ["stacked intervals", len(batch_series)],
-            ["scalar loop (s)", scalar_seconds],
-            ["batched pass (s)", batch_seconds],
-            ["speedup", speedup],
-            ["mean waste (seed 0)", means[0]],
-            ["cross-seed mean waste", sum(means) / len(means)],
-        ],
+    rows = [
+        ["architecture", architecture.name],
+        ["seeds", N_SEEDS],
+        ["trace nodes (8-GPU)", N_NODES],
+        ["trace days", DURATION_DAYS],
+        ["stacked events", len(batch.log)],
+        ["stacked intervals", len(batch_series)],
+        ["scalar loop (s)", scalar_seconds],
+        ["batched pass (s)", batch_seconds],
+        ["speedup", speedup],
+        ["mean waste (seed 0)", means[0]],
+        ["cross-seed mean waste", sum(means) / len(means)],
+    ]
+    return speedup, rows
+
+
+def test_mc_replay_speedup(benchmark, seed_block):
+    batch, timelines = seed_block
+    speedup, rows = _replay_both_ways(
+        benchmark, NVLHBD(72, gpus_per_node=8), batch, timelines
     )
     emit_report(
         "mc_replay",
-        text,
+        format_table(["metric", "value"], rows),
         gates=[
             (
                 f"batched {N_SEEDS}-seed replay >= {MIN_SPEEDUP:.0f}x scalar loop",
@@ -111,4 +128,27 @@ def test_mc_replay_speedup(benchmark):
     )
     assert speedup >= MIN_SPEEDUP, (
         f"batched replay only {speedup:.1f}x faster than the scalar loop"
+    )
+
+
+def test_mc_replay_infinitehbd_speedup(benchmark, seed_block):
+    batch, timelines = seed_block
+    speedup, rows = _replay_both_ways(
+        benchmark, InfiniteHBDArchitecture(k=2, gpus_per_node=8), batch, timelines
+    )
+    emit_report(
+        "mc_replay_infinitehbd",
+        format_table(["metric", "value"], rows),
+        gates=[
+            (
+                f"InfiniteHBD(K=2) batched {N_SEEDS}-seed replay >= "
+                f"{MIN_INFINITEHBD_SPEEDUP:.0f}x scalar loop",
+                speedup,
+                MIN_INFINITEHBD_SPEEDUP,
+                ">=",
+            ),
+        ],
+    )
+    assert speedup >= MIN_INFINITEHBD_SPEEDUP, (
+        f"batched InfiniteHBD replay only {speedup:.1f}x faster than the scalar loop"
     )

@@ -306,8 +306,7 @@ def _run_schedule_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     from repro.scheduler.engine import ClusterScheduler
 
     scenario = spec.scenario
-    if scenario.workload is None:
-        raise ValueError("experiment 'schedule' needs scenario.workload")
+    assert scenario.workload is not None  # ExperimentRunner.run checked it
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
@@ -385,8 +384,7 @@ def _run_blast_radius_task(
     from repro.scheduler.engine import ClusterScheduler
 
     scenario = spec.scenario
-    if scenario.workload is None:
-        raise ValueError("experiment 'blast_radius' needs scenario.workload")
+    assert scenario.workload is not None  # ExperimentRunner.run checked it
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
@@ -586,6 +584,9 @@ _ARCH_SWEEP_EXPERIMENTS = (
 #: the pool forks).
 _TIMELINE_EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting", "schedule")
 
+#: Experiments that schedule the scenario's job queue.
+_WORKLOAD_EXPERIMENTS = ("schedule", "blast_radius")
+
 
 def _execute_payload(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Top-level task entry point (picklable for the process pool)."""
@@ -688,6 +689,7 @@ class ExperimentRunner:
 
     def run(self) -> ResultSet:
         """Execute all tasks (cache-first, parallel on miss), stamp provenance."""
+        self._check_scenario()
         payloads = self.tasks()
         mode = self.spec.cache
         cache_stats: CacheStats | None = None
@@ -721,6 +723,25 @@ class ExperimentRunner:
             for data in task_rows
         ]
         return ResultSet(results, cache_stats=cache_stats)
+
+    def _check_scenario(self) -> None:
+        """Reject a scenario that would fail mid-run, before any work starts.
+
+        When an experiment sweeps the architectures, builds each of them
+        once, so unknown names and bad parameters raise before the cache is
+        read or a trace is built; and checks that the scheduling experiments
+        have a job queue.  This runs here rather than at spec parse time
+        because plugin architectures may register after a spec is parsed.
+        """
+        scenario = self.spec.scenario
+        experiments = self.spec.experiments
+        if any(experiment in _ARCH_SWEEP_EXPERIMENTS for experiment in experiments):
+            for arch_spec in scenario.architectures:
+                arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
+        if scenario.workload is None:
+            for experiment in experiments:
+                if experiment in _WORKLOAD_EXPERIMENTS:
+                    raise ValueError(f"experiment {experiment!r} needs scenario.workload")
 
     def _task_cache_key(self, payload: Mapping[str, Any]) -> str:
         """Content key of one task: everything that determines its rows.

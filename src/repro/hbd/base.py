@@ -340,8 +340,9 @@ class HBDArchitecture(abc.ABC):
         evaluate whole seed blocks with table gathers instead of per-interval
         Python calls.  The base implementation returns ``None`` -- correct
         for architectures whose capacity depends on *which* nodes failed,
-        not just how many per domain (InfiniteHBD's K-hop segments) -- and
-        callers then fall back to the exact scalar replay.
+        not just how many per domain.  The batched engine then replays
+        InfiniteHBD's K-hop segments through its own segment pass and any
+        other such architecture through the exact scalar replay per seed.
         """
         return None
 

@@ -10,10 +10,10 @@ instead of N independent Python sweeps:
   (:meth:`~repro.mc.batch.TraceBatch.from_timelines` for exact runner
   seeds, :func:`sample_trace_batch` for single-draw synthetic blocks);
 * :func:`replay_batch` replays the block against one architecture via its
-  fault-count kernel (:mod:`repro.mc.kernels`), falling back to the exact
-  scalar replay per seed when no kernel exists (InfiniteHBD) -- per-seed
-  results are bit-for-bit the scalar ``replay_intervals`` output either
-  way;
+  fault-count kernel (:mod:`repro.mc.kernels`) or, for InfiniteHBD, a K-hop
+  segment pass, falling back to the exact scalar replay per seed for any
+  other architecture without a kernel -- per-seed results are bit-for-bit
+  the scalar ``replay_intervals`` output every way;
 * :func:`seed_stats` reduces per-seed metric values to the mean / stddev /
   CI columns ``ExperimentRunner(num_seeds=N)`` reports.
 """

@@ -14,8 +14,9 @@ replay gathers against:
   between healthy and faulty.
 
 :func:`kernel_for` returns ``None`` exactly when the architecture has no
-count decomposition (InfiniteHBD's K-hop segments), in which case the
-batched engine falls back to the exact scalar replay per seed.
+count decomposition.  The batched engine then replays InfiniteHBD, whose
+K-hop segments depend on *which* nodes failed, through its segment pass,
+and any other such architecture through the exact scalar replay per seed.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ class HealthyGroupsKernel:
 def kernel_for(
     architecture: HBDArchitecture, n_nodes: int, tp_size: int
 ) -> AdditiveKernel | HealthyGroupsKernel | None:
-    """The architecture's vectorizable kernel, or ``None`` (scalar fallback)."""
+    """The architecture's fault-count kernel, or ``None`` when it has none.
+
+    ``None`` sends :func:`~repro.mc.engine.replay_batch` to its segment pass
+    (InfiniteHBD) or to the exact scalar replay per seed (anything else).
+    """
     decomposition = architecture.fault_count_decomposition(n_nodes, tp_size)
     if decomposition is None:
         return None

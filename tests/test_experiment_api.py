@@ -27,6 +27,7 @@ from repro.api import (
     default_architecture_specs,
     run_experiment,
 )
+from repro.cache import ResultCache
 from repro.hbd import NVLHBD, architecture_by_name, list_architectures
 from repro.hbd.registry import DEFAULT_LINEUP
 
@@ -260,6 +261,66 @@ class TestRunner:
         )
         with pytest.raises(ValueError, match="architectures"):
             ExperimentRunner(spec, max_workers=1).run()
+
+
+class TestFailFast:
+    """Bad scenarios raise before the cache is read or any trace is built."""
+
+    @pytest.mark.parametrize(
+        ("architectures", "experiments", "error", "match"),
+        [
+            (["Big-Switch", "NVL-73"], ["waste"], KeyError, "did you mean 'nvl-72'"),
+            (
+                [{"name": "InfiniteHBD(K=2)", "params": {"k": 0}}],
+                ["waste", "goodput"],
+                ValueError,
+                "k must be >= 1",
+            ),
+            (["NVL-72"], ["waste", "schedule"], ValueError, "'schedule' needs scenario.workload"),
+            (["NVL-72"], ["blast_radius"], ValueError, "'blast_radius' needs scenario.workload"),
+        ],
+        ids=["unknown-architecture", "bad-parameter", "schedule-no-workload",
+             "blast-radius-no-workload"],
+    )
+    def test_rejected_before_any_work(
+        self, monkeypatch, architectures, experiments, error, match
+    ):
+        spec = ExperimentSpec.from_dict({
+            "scenario": {
+                "name": "bad",
+                "trace": {"days": 5},
+                "architectures": architectures,
+                "tp_sizes": [32],
+                "n_nodes": 96,
+            },
+            "experiments": experiments,
+            "max_workers": 1,
+        })
+        work = []
+        build = TraceSpec.build
+        cache_get = ResultCache.get
+        monkeypatch.setattr(
+            TraceSpec, "build", lambda trace: work.append("trace") or build(trace)
+        )
+        monkeypatch.setattr(
+            ResultCache, "get", lambda store, key: work.append("cache") or cache_get(store, key)
+        )
+        with pytest.raises(error, match=match):
+            ExperimentRunner(spec, cache="memory").run()
+        assert work == []
+
+    def test_architectures_no_experiment_sweeps_are_not_built(self):
+        spec = ExperimentSpec.from_dict({
+            "scenario": {
+                "name": "cost-only",
+                "trace": {"days": 5},
+                "architectures": ["NVL-73"],
+                "tp_sizes": [32],
+                "n_nodes": 96,
+            },
+            "experiments": ["cost"],
+        })
+        assert len(ExperimentRunner(spec, max_workers=1).run()) > 0
 
 
 class TestScheduleExperiment:

@@ -2,8 +2,10 @@
 
 The contract under test: every per-seed result out of ``replay_batch`` is
 **bit-for-bit** the scalar ``replay_intervals`` output for that seed's
-timeline -- on every registry architecture, including the exact scalar
-fallback (InfiniteHBD has no fault-count decomposition).
+timeline -- through all three of its paths: the count pass (architectures
+with a fault-count decomposition), the K-hop segment pass (InfiniteHBD on a
+ring or a line, any K) and the per-seed scalar fallback, which only a
+plugin architecture without a decomposition reaches (``_PrefixHBD`` here).
 """
 
 import math
@@ -19,11 +21,13 @@ from repro.faults.timeline import IntervalTimeline
 from repro.faults.trace import FaultEvent, FaultTrace
 from repro.hbd import (
     BigSwitchHBD,
+    HBDArchitecture,
     InfiniteHBDArchitecture,
     NVLHBD,
     SiPRingHBD,
     TPUv4HBD,
 )
+import repro.mc.engine as mc_engine
 from repro.mc import (
     BatchTraceConfig,
     TraceBatch,
@@ -34,6 +38,22 @@ from repro.mc import (
 )
 from repro.simulation.cluster import replay_intervals
 
+
+class _PrefixHBD(HBDArchitecture):
+    """Plugin-style architecture with no fault-count decomposition.
+
+    Only the healthy prefix before the first faulty node is usable, so
+    ``replay_batch`` can only serve it through the per-seed scalar fallback.
+    """
+
+    name = "Prefix"
+
+    def usable_gpus(self, n_nodes, faulty_nodes, tp_size):
+        faulty = set(faulty_nodes)
+        prefix = next((node for node in range(n_nodes) if node in faulty), n_nodes)
+        return self._fit(prefix * self.gpus_per_node, tp_size)
+
+
 ARCHITECTURES = [
     BigSwitchHBD(4),
     NVLHBD(72, 4),
@@ -41,7 +61,18 @@ ARCHITECTURES = [
     TPUv4HBD(4, 64),
     SiPRingHBD(4),
     InfiniteHBDArchitecture(k=2, gpus_per_node=4),
+    InfiniteHBDArchitecture(k=1, gpus_per_node=4),
+    InfiniteHBDArchitecture(k=3, gpus_per_node=4),
+    InfiniteHBDArchitecture(k=2, gpus_per_node=4, ring=False),
+    _PrefixHBD(4),
 ]
+
+
+def _arch_id(architecture):
+    if getattr(architecture, "ring", True):
+        return architecture.name
+    return f"{architecture.name}-line"
+
 
 TP_SIZES = (8, 32, 128)
 
@@ -133,7 +164,7 @@ class TestBatchedMatchesScalar:
                 for a, b in zip(got.waste_ratios, ref.waste_ratios, strict=True):
                     assert math.isclose(a, b, rel_tol=1e-15, abs_tol=1e-15)
 
-    @pytest.mark.parametrize("architecture", ARCHITECTURES, ids=lambda a: a.name)
+    @pytest.mark.parametrize("architecture", ARCHITECTURES, ids=_arch_id)
     def test_synthetic_batch_and_aggregates(self, architecture):
         batch = sample_trace_batch(
             BatchTraceConfig(n_seeds=4, n_nodes=64, duration_days=15, gpus_per_node=4, seed=9)
@@ -157,10 +188,96 @@ class TestBatchedMatchesScalar:
                     == ref.fault_waiting_rate(64)
                 )
 
-    def test_infinitehbd_uses_exact_scalar_fallback(self):
+    def test_infinitehbd_has_no_count_kernel(self):
         architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
         assert architecture.fault_count_decomposition(24, 8) is None
         assert kernel_for(architecture, 24, 8) is None
+
+    def test_only_plugins_reach_the_scalar_fallback(self, monkeypatch):
+        calls = []
+
+        def counting_replay(architecture, timeline, tp_size):
+            calls.append(architecture.name)
+            return replay_intervals(architecture, timeline, tp_size)
+
+        monkeypatch.setattr(mc_engine, "replay_intervals", counting_replay)
+        batch = sample_trace_batch(
+            BatchTraceConfig(n_seeds=3, n_nodes=32, duration_days=5, gpus_per_node=4, seed=4)
+        )
+        for architecture in ARCHITECTURES:
+            replay_batch(architecture, batch, 8)
+        assert calls == ["Prefix"] * batch.n_seeds
+
+
+class TestSegmentPass:
+    """Edge cases of InfiniteHBD's K-hop segment pass."""
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 5])
+    def test_tiny_rings_and_lines(self, n_nodes):
+        last = n_nodes - 1
+        runs = [
+            (last, 0, 12),  # down from t=0 ...
+            (0, 0, 6),  # ... next to node 0: one run across the wrap
+            (1 % n_nodes, 3, 9),  # grows the wrap run to three nodes
+            *[(node, 20, 30) for node in range(n_nodes)],  # every node down
+            (last // 2, 26, 40),
+        ]
+        timeline = _timeline(n_nodes, float(DURATION), runs)
+        assert timeline.intervals[0].start_hour == 0.0 and timeline.intervals[0].nodes
+        assert any(len(interval.nodes) == n_nodes for interval in timeline.intervals)
+        batch = TraceBatch.from_timelines([timeline, _timeline(n_nodes, float(DURATION), [])])
+        for k in range(1, 7):  # K < n, K == n and K > n
+            for ring in (True, False):
+                architecture = InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring)
+                for tp_size in (4, 8, 16):
+                    series = replay_batch(architecture, batch, tp_size)
+                    _assert_series_equal(
+                        series.series_for_seed(0),
+                        replay_intervals(architecture, timeline, tp_size),
+                    )
+                    assert series.usable_gpus[-1] == (n_nodes * 4 // tp_size) * tp_size
+
+    def test_wrap_run_is_one_cut(self):
+        # Nodes 7 and 0 are one K=2 run across the wrap; with {3, 4} the
+        # ring splits into [1, 2] and [5, 6], too short for a 4-node group.
+        runs = [(7, 0, 10), (0, 0, 10), (3, 2, 10), (4, 2, 10)]
+        timeline = _timeline(8, float(DURATION), runs)
+        batch = TraceBatch.from_timelines([timeline])
+        architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
+        series = replay_batch(architecture, batch, 16)
+        assert series.usable_gpus.tolist() == [16, 0, 32]
+        _assert_series_equal(
+            series.series_for_seed(0), replay_intervals(architecture, timeline, 16)
+        )
+
+    @pytest.mark.parametrize("ring", [True, False])
+    def test_chunked_pass_matches_single_chunk(self, monkeypatch, ring):
+        architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4, ring=ring)
+        batch = sample_trace_batch(
+            BatchTraceConfig(n_seeds=5, n_nodes=64, duration_days=15, gpus_per_node=4, seed=9)
+        )
+        whole = replay_batch(architecture, batch, 16)
+        chunks = []
+        segment_groups = mc_engine._segment_groups
+
+        def counting_groups(*args):
+            chunks.append(len(args[3]))
+            return segment_groups(*args)
+
+        monkeypatch.setattr(mc_engine, "_segment_groups", counting_groups)
+        monkeypatch.setattr(mc_engine, "_SEGMENT_CHUNK_ENTRIES", 1)
+        chunked = replay_batch(architecture, batch, 16)
+        assert len(chunks) == batch.n_seeds  # every seed is its own chunk
+        assert sum(chunks) == len(whole)
+        for column in (
+            "starts_hours",
+            "ends_hours",
+            "waste_ratios",
+            "usable_gpus",
+            "faulty_gpus",
+            "interval_offsets",
+        ):
+            assert np.array_equal(getattr(chunked, column), getattr(whole, column))
 
 
 class TestCorrelatedDifferential:
