@@ -10,7 +10,10 @@ one per vectorized pass, verifying the bit-for-bit contract for each:
 * NVL-72 takes the count pass (segmented cumsums + per-domain table
   gathers), gated at >= 10x over the scalar loop;
 * InfiniteHBD (K=2) takes the K-hop segment pass, gated at >= 5x over the
-  scalar loop -- the delta walk single-seed runs replay it with.
+  scalar loop.
+
+The scalar loop is ``replay_intervals``, the memoized full recompute that
+single-seed runs replay every architecture with.
 
 Trace sampling and the per-seed timeline materialisation both happen
 *outside* the timed regions: the comparison is replay vs replay.

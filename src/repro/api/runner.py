@@ -6,7 +6,7 @@ architecture × TP size), executes them -- in parallel over a forked process
 pool when more than one CPU is available -- and assembles the uniform
 :class:`~repro.api.results.ResultSet`.
 
-Three things make the runner faster than the seed's serial sweep loops even
+Four things make the runner faster than the seed's serial sweep loops even
 on a single core:
 
 * the fault trace is generated once per process and memoized
@@ -15,7 +15,9 @@ on a single core:
   :class:`~repro.faults.timeline.IntervalTimeline` once per (trace, cluster
   size) and that one interval set is replayed across the whole architecture x
   TP sweep -- O(events log events) instead of O(samples x events) grid
-  scans, and
+  scans,
+* each (architecture, TP) capacity cell is replayed once per run and shared
+  by ``waste``, ``max_job_scale`` and ``fault_waiting``, and
 * within each replay ``architecture.breakdown()`` is memoized per distinct
   fault set.
 
@@ -27,6 +29,7 @@ are exact duration-weighted quantities over the intervals -- no
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -50,8 +53,9 @@ from repro.api.spec import (
 )
 from repro.cache import ResultCache, content_key
 from repro.faults.timeline import IntervalTimeline
-from repro.mc import TraceBatch, replay_batch, seed_stats
-from repro.simulation.cluster import replay_intervals
+from repro.hbd.base import HBDArchitecture
+from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
+from repro.simulation.cluster import IntervalSeries, replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
 
@@ -89,6 +93,58 @@ def _timeline_for(
     with _TIMELINE_LOCK:
         _TIMELINE_CACHE.setdefault(key, timeline)
     return timeline
+
+
+# ------------------------------------------------------ shared capacity cells
+#: Replayed (architecture, TP) cells of the current run, keyed by (seed trace
+#: specs, ``n_nodes``, canonical architecture spec, TP size): the base seed's
+#: ``IntervalSeries`` for one seed, the ``BatchSeries`` for several.
+#: ``waste``, ``max_job_scale`` and ``fault_waiting`` read one cell instead of
+#: each replaying it.  Unlike the timelines, a cell depends on the
+#: architecture registry, which may map a name to another plugin by the next
+#: run, so :meth:`ExperimentRunner._execute` empties it before and after
+#: every run.
+_CellKey = tuple[tuple[TraceSpec, ...], int | None, str, int]
+_CELL_CACHE: dict[_CellKey, IntervalSeries | BatchSeries] = {}
+
+
+def _cell_key(spec: ExperimentSpec, payload: Mapping[str, Any]) -> _CellKey:
+    return (
+        tuple(_seed_trace_specs(spec)),
+        spec.scenario.n_nodes,
+        json.dumps(payload["arch"], sort_keys=True),
+        payload["tp_size"],
+    )
+
+
+def _cell_series(
+    spec: ExperimentSpec, payload: Mapping[str, Any], architecture: HBDArchitecture
+) -> IntervalSeries:
+    """The single-seed exact replay of the task's cell, once per run."""
+    key = _cell_key(spec, payload)
+    cached = _CELL_CACHE.get(key)
+    if isinstance(cached, IntervalSeries):
+        return cached
+    timeline = _timeline_for(spec.scenario.trace, spec.scenario.n_nodes)
+    series = replay_intervals(architecture, timeline, payload["tp_size"])
+    _CELL_CACHE[key] = series
+    return series
+
+
+def _cell_batch_series(
+    spec: ExperimentSpec, payload: Mapping[str, Any], architecture: HBDArchitecture
+) -> BatchSeries:
+    """The batched replay of the task's cell over every seed, once per run."""
+    key = _cell_key(spec, payload)
+    cached = _CELL_CACHE.get(key)
+    if isinstance(cached, BatchSeries):
+        return cached
+    trace_specs = _seed_trace_specs(spec)
+    timelines = [_timeline_for(ts, spec.scenario.n_nodes) for ts in trace_specs]
+    batch = TraceBatch.from_timelines(timelines, seeds=[ts.seed for ts in trace_specs])
+    batch_series = replay_batch(architecture, batch, payload["tp_size"])
+    _CELL_CACHE[key] = batch_series
+    return batch_series
 
 
 # ------------------------------------------------------------ experiment tasks
@@ -155,12 +211,7 @@ def _run_capacity_multi_seed(
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    trace_specs = _seed_trace_specs(spec)
-    timelines = [_timeline_for(ts, scenario.n_nodes) for ts in trace_specs]
-    batch = TraceBatch.from_timelines(
-        timelines, seeds=[ts.seed for ts in trace_specs]
-    )
-    batch_series = replay_batch(architecture, batch, tp_size)
+    batch_series = _cell_batch_series(spec, payload, architecture)
     base = batch_series.series_for_seed(0)
 
     per_seed: list[dict[str, Any]]
@@ -175,7 +226,7 @@ def _run_capacity_multi_seed(
                 "min_usable_gpus": mins[i],
                 "total_gpus": batch_series.total_gpus,
             }
-            for i in range(batch.n_seeds)
+            for i in range(batch_series.n_seeds)
         ]
         out_series: dict[str, Sequence[float]] = {
             "times_days": base.times_days,
@@ -191,7 +242,7 @@ def _run_capacity_multi_seed(
                 "availability": scenario.availability,
                 "total_gpus": batch_series.total_gpus,
             }
-            for i in range(batch.n_seeds)
+            for i in range(batch_series.n_seeds)
         ]
         out_series = {}
     else:  # fault_waiting
@@ -200,7 +251,7 @@ def _run_capacity_multi_seed(
         rates = batch_series.fault_waiting_rates(scenario.job_gpus)
         per_seed = [
             {"fault_waiting_rate": rates[i], "job_gpus": scenario.job_gpus}
-            for i in range(batch.n_seeds)
+            for i in range(batch_series.n_seeds)
         ]
         out_series = {
             "job_scales": job_scales,
@@ -224,8 +275,7 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    timeline = _timeline_for(scenario.trace, scenario.n_nodes)
-    series = replay_intervals(architecture, timeline, tp_size)
+    series = _cell_series(spec, payload, architecture)
 
     if experiment == "waste":
         # Duration-weighted exact aggregates -- independent of any sampling
@@ -774,13 +824,17 @@ class ExperimentRunner:
         """
         if not payloads:
             return []
-        self._warm_caches(payloads)
-        workers = _resolve_workers(self.max_workers, len(payloads))
-        context = _fork_context() if workers > 1 else None
-        if context is None:
-            return [_execute_payload(p) for p in payloads]
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(_execute_payload, payloads))
+        _CELL_CACHE.clear()
+        try:
+            self._warm_caches(payloads)
+            workers = _resolve_workers(self.max_workers, len(payloads))
+            context = _fork_context() if workers > 1 else None
+            if context is None:
+                return [_execute_payload(p) for p in payloads]
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                return list(pool.map(_execute_payload, payloads))
+        finally:
+            _CELL_CACHE.clear()
 
     def _warm_caches(self, payloads: Sequence[Mapping[str, Any]]) -> None:
         """Build the trace (and shared timelines) before the pool forks.

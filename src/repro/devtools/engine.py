@@ -2,7 +2,7 @@
 
 The repo's headline guarantees are determinism contracts: byte-identical
 :class:`~repro.scheduler.report.ClusterReport` JSON per seed, bit-for-bit
-delta-vs-full replay equality, sha256 spec digests as cache keys.  Those
+batched-vs-reference replay equality, sha256 spec digests as cache keys.  Those
 contracts rest on coding rules (seeded RNG only, no wall-clock reads in
 engine code, ordered iteration over fault sets, frozen specs) that nothing
 used to enforce.  This module is the framework that machine-checks them:

@@ -17,7 +17,6 @@ Architectures:
 
 from repro.hbd.base import (
     CountDecomposition,
-    DeltaReplayState,
     FaultCountKernel,
     HBDArchitecture,
     HealthyGroupDecomposition,
@@ -37,7 +36,6 @@ from repro.hbd.registry import (
 
 __all__ = [
     "CountDecomposition",
-    "DeltaReplayState",
     "FaultCountKernel",
     "HBDArchitecture",
     "HealthyGroupDecomposition",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import Any
 
 
 @dataclass(frozen=True)
@@ -159,29 +158,6 @@ class HealthyGroupDecomposition:
 FaultCountKernel = CountDecomposition | HealthyGroupDecomposition
 
 
-@dataclass
-class DeltaReplayState:
-    """Carry-over state of an incremental (delta) breakdown replay.
-
-    Produced by :meth:`HBDArchitecture.delta_state` and advanced by
-    :meth:`HBDArchitecture.breakdown_delta`.  ``faults`` and ``usable``
-    describe the fault set the state currently represents; ``aux`` is the
-    architecture-specific incremental payload and is **opaque** to callers
-    (``None`` means the architecture has no O(delta) path and every advance
-    recomputes from scratch).
-
-    The payload may be mutated in place when the state is advanced, so a
-    state passed to :meth:`~HBDArchitecture.breakdown_delta` is *consumed*:
-    keep using the returned state, not the argument.
-    """
-
-    n_nodes: int
-    tp_size: int
-    faults: frozenset[int]
-    usable: int
-    aux: Any | None
-
-
 class HBDArchitecture(abc.ABC):
     """Abstract HBD architecture.
 
@@ -193,11 +169,6 @@ class HBDArchitecture(abc.ABC):
 
     #: Human-readable architecture name (used as legend label in benches).
     name: str = "abstract"
-
-    #: Whether the subclass implements an O(delta) incremental update
-    #: (:meth:`breakdown_delta` stays *total* either way -- architectures
-    #: without one fall back to a full recompute per advance).
-    supports_delta: bool = False
 
     def __init__(self, gpus_per_node: int = 4) -> None:
         if gpus_per_node < 1:
@@ -235,97 +206,6 @@ class HBDArchitecture(abc.ABC):
             )
         return WasteBreakdown(
             total_gpus=total, faulty_gpus=faulty_gpus, usable_gpus=usable
-        )
-
-    # ------------------------------------------------------------ delta replay
-    def delta_state(
-        self, n_nodes: int, faulty_nodes: Iterable[int], tp_size: int
-    ) -> DeltaReplayState:
-        """Initial state for an incremental replay starting at ``faulty_nodes``.
-
-        The initial construction costs one full ``usable_gpus`` evaluation;
-        every subsequent :meth:`breakdown_delta` advance is O(delta) for
-        architectures with ``supports_delta`` and a full recompute otherwise.
-        """
-        faulty = self._clean_faults(n_nodes, faulty_nodes)
-        usable, aux = self._delta_init(n_nodes, faulty, tp_size)
-        return DeltaReplayState(
-            n_nodes=n_nodes, tp_size=tp_size, faults=faulty, usable=usable, aux=aux
-        )
-
-    def breakdown_delta(
-        self,
-        state: DeltaReplayState,
-        added_faults: Iterable[int] = (),
-        removed_faults: Iterable[int] = (),
-    ) -> tuple[WasteBreakdown, DeltaReplayState]:
-        """Breakdown after flipping the given nodes, plus the advanced state.
-
-        ``added_faults`` are nodes that become faulty, ``removed_faults``
-        nodes that recover; out-of-range node ids are ignored (matching
-        :meth:`breakdown`), but adding an already-faulty node or removing a
-        healthy one is a :class:`ValueError` -- silently tolerating either
-        would let an incremental replay drift from the ground truth.  The
-        input ``state`` is consumed (its payload may be mutated in place);
-        passing no deltas is a free way to read the breakdown of a freshly
-        built state.
-        """
-        n_nodes, tp_size = state.n_nodes, state.tp_size
-        added = frozenset(f for f in added_faults if 0 <= f < n_nodes)
-        removed = frozenset(f for f in removed_faults if 0 <= f < n_nodes)
-        if added & removed:
-            raise ValueError(f"nodes {sorted(added & removed)} both added and removed")
-        if added & state.faults:
-            raise ValueError(f"nodes {sorted(added & state.faults)} already faulty")
-        if not removed <= state.faults:
-            raise ValueError(f"nodes {sorted(removed - state.faults)} not faulty")
-        faults = (state.faults | added) - removed
-        if state.aux is None:
-            usable = self.usable_gpus(n_nodes, faults, tp_size)
-        else:
-            usable = state.usable
-            for node in sorted(removed):
-                usable += self._delta_flip(state, node, failed=False)
-            for node in sorted(added):
-                usable += self._delta_flip(state, node, failed=True)
-        new_state = DeltaReplayState(
-            n_nodes=n_nodes, tp_size=tp_size, faults=faults, usable=usable,
-            aux=state.aux,
-        )
-        total = self.total_gpus(n_nodes)
-        faulty_gpus = len(faults) * self.gpus_per_node
-        if usable < 0 or usable > total - faulty_gpus:
-            raise RuntimeError(
-                f"{self.name}: delta usable ({usable}) outside "
-                f"[0, {total - faulty_gpus}] healthy GPUs"
-            )
-        breakdown = WasteBreakdown(
-            total_gpus=total, faulty_gpus=faulty_gpus, usable_gpus=usable
-        )
-        return breakdown, new_state
-
-    def _delta_init(
-        self, n_nodes: int, faulty: frozenset[int], tp_size: int
-    ) -> tuple[int, Any | None]:
-        """Usable count plus the incremental payload for ``faulty``.
-
-        The base implementation has no payload (``None``), which makes
-        :meth:`breakdown_delta` recompute from scratch on every advance --
-        correct for any architecture, just not O(delta).
-        """
-        return self.usable_gpus(n_nodes, faulty, tp_size), None
-
-    def _delta_flip(
-        self, state: DeltaReplayState, node: int, failed: bool
-    ) -> int:
-        """Change in usable GPUs when ``node`` flips; mutates ``state.aux``.
-
-        Only called when :meth:`_delta_init` returned a payload, so
-        architectures that keep the base ``None`` payload never reach it.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} returned a delta payload but does not "
-            "implement _delta_flip"
         )
 
     # ------------------------------------------------------ count decomposition

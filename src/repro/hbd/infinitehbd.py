@@ -10,77 +10,23 @@ cluster simulations.  The relevant behaviour:
 * each healthy segment is packed with TP groups of ``ceil(tp/R)`` nodes;
 * the remainder of each segment is the only fragmentation loss.
 
-The adapter also implements the O(delta) incremental replay
-(:meth:`~repro.hbd.base.HBDArchitecture.breakdown_delta`): a node flip only
-affects the healthy segment(s) it touches, bounded by the nearest
-*breakpoints* (fault runs of ``>= K`` consecutive nodes, the Appendix C
-notion).  Each flip therefore scans the sorted fault set outward from the
-flipped node until it hits a breakpoint on each side, re-sweeps only the
-faults in between, and leaves the rest of the ring untouched -- the cost is
-local to the affected segment, independent of the cluster size.
+Capacity depends on *where* the faults sit, not just how many hit each
+domain, so there is no fault-count kernel.  Scalar replay recomputes the
+segments once per distinct fault set; the batched Monte-Carlo engine
+(:mod:`repro.mc`) replays whole seed blocks through its vectorized K-hop
+segment pass, checked bit for bit against that scalar recompute.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Iterable
 
 from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig
-from repro.hbd.base import DeltaReplayState, HBDArchitecture, PlacementGroup
-
-
-class _KHopDelta:
-    """Sorted fault list backing the local incremental update."""
-
-    __slots__ = ("faults",)
-
-    def __init__(self, faults: list[int]) -> None:
-        self.faults = faults
-
-
-def _span_capacity(
-    faults: list[int], lo: int, hi: int, k: int, npg: int, tp_size: int
-) -> int:
-    """Capacity of the healthy segments inside the span ``[lo, hi]``.
-
-    ``faults`` are the sorted (unwrapped) faulty positions within the span,
-    whose two bounds abut breakpoints (or the physical line ends), so fault
-    runs of ``>= k`` inside it cut segments and shorter runs are bridged.
-    Runs touching the span bounds merge into the bounding breakpoint / end,
-    which the sweep handles naturally (they only ever cut an empty prefix
-    or suffix).
-    """
-    if hi < lo:
-        return 0
-    total = 0
-    healthy = 0
-    run = 0
-    pos = lo
-    for fault in faults:
-        gap = fault - pos
-        if gap > 0:
-            if run >= k:
-                total += (healthy // npg) * tp_size
-                healthy = 0
-            healthy += gap
-            run = 1
-        else:
-            run += 1
-        pos = fault + 1
-    tail = hi - pos + 1
-    if tail > 0:
-        if run >= k:
-            total += (healthy // npg) * tp_size
-            healthy = 0
-        healthy += tail
-    total += (healthy // npg) * tp_size
-    return total
+from repro.hbd.base import HBDArchitecture, PlacementGroup
 
 
 class InfiniteHBDArchitecture(HBDArchitecture):
     """InfiniteHBD with ``K`` OCSTrx bundles per node (K-Hop Ring)."""
-
-    supports_delta = True
 
     def __init__(
         self, k: int = 2, gpus_per_node: int = 4, ring: bool = True
@@ -131,91 +77,3 @@ class InfiniteHBDArchitecture(HBDArchitecture):
             PlacementGroup(nodes=seg.nodes, nodes_per_group=npg, tp_size=tp_size)
             for seg in topo.healthy_segments(faulty)
         )
-
-    # ------------------------------------------------------------ delta replay
-    def _delta_init(
-        self, n_nodes: int, faulty: frozenset[int], tp_size: int
-    ) -> tuple[int, _KHopDelta]:
-        usable = self.topology(n_nodes).usable_gpus(faulty, tp_size)
-        return usable, _KHopDelta(sorted(faulty))
-
-    def _delta_flip(self, state: DeltaReplayState, node: int, failed: bool) -> int:
-        aux: _KHopDelta = state.aux
-        if failed:
-            delta = self._fail_delta(aux.faults, node, state)
-            bisect.insort(aux.faults, node)
-            return delta
-        # Recovering ``node`` is exactly the inverse of failing it against
-        # the fault set without it.
-        del aux.faults[bisect.bisect_left(aux.faults, node)]
-        return -self._fail_delta(aux.faults, node, state)
-
-    def _fail_delta(
-        self, faults: list[int], node: int, state: DeltaReplayState
-    ) -> int:
-        """Capacity change of failing the (currently healthy) ``node``."""
-        n, tp_size = state.n_nodes, state.tp_size
-        k = self.k
-        npg = self.nodes_per_tp_group(tp_size)
-
-        right_anchor, right_faults = self._scan(faults, node, n, forward=True)
-        left_anchor, left_faults = self._scan(faults, node, n, forward=False)
-
-        if self.ring and (right_anchor is None or left_anchor is None):
-            # No breakpoint anywhere: the ring is one segment, and stays one
-            # segment after the flip (a single breakpoint cuts a ring into
-            # one open segment, not two).
-            healthy = n - len(faults)
-            return ((healthy - 1) // npg - healthy // npg) * tp_size
-
-        lo = (left_anchor + 1) if left_anchor is not None else 0
-        hi = (right_anchor - 1) if right_anchor is not None else n - 1
-        between = left_faults[::-1] + right_faults
-        before = _span_capacity(between, lo, hi, k, npg, tp_size)
-        index = bisect.bisect_left(between, node)
-        after = _span_capacity(
-            between[:index] + [node] + between[index:], lo, hi, k, npg, tp_size
-        )
-        return after - before
-
-    def _scan(
-        self, faults: list[int], node: int, n: int, forward: bool
-    ) -> tuple[int | None, list[int]]:
-        """Walk the sorted fault list away from ``node`` to the nearest
-        breakpoint (fault run of ``>= k`` consecutive nodes).
-
-        Returns the breakpoint's near edge in unwrapped coordinates (start
-        of the run when walking forward, end when walking backward; ``None``
-        when the scan exhausts the faults first) plus the non-breakpoint
-        faults passed on the way, ordered by distance from ``node``.
-        Positions wrap by ``+- n`` on a ring, so callers can sweep the span
-        between the two anchors linearly.
-        """
-        m = len(faults)
-        passed: list[int] = []
-        if m == 0:
-            return None, passed
-        step = 1 if forward else -1
-        index = bisect.bisect_right(faults, node) if forward else (
-            bisect.bisect_left(faults, node) - 1
-        )
-        run: list[int] = []
-        prev: int | None = None
-        for _ in range(m):
-            if 0 <= index < m:
-                pos = faults[index]
-            elif self.ring:
-                pos = faults[index % m] + (n if forward else -n)
-            else:
-                break
-            if prev is not None and pos == prev + step:
-                run.append(pos)
-            else:
-                passed.extend(run)
-                run = [pos]
-            prev = pos
-            if len(run) >= self.k:
-                return run[0], passed
-            index += step
-        passed.extend(run)
-        return None, passed

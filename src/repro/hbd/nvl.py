@@ -14,48 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.hbd.base import (
-    CountDecomposition,
-    DeltaReplayState,
-    HBDArchitecture,
-    PlacementGroup,
-)
-
-
-class _NVLDelta:
-    """Per-unit fault counters for the O(delta) incremental update.
-
-    ``infeasible`` marks TP sizes larger than the unit: usable is pinned at
-    zero and node flips are no-ops.
-    """
-
-    __slots__ = (
-        "infeasible",
-        "nodes_per_unit",
-        "n_units",
-        "unit_faults",
-        "leftover_healthy_gpus",
-    )
-
-    def __init__(
-        self,
-        infeasible: bool,
-        nodes_per_unit: int,
-        n_units: int,
-        unit_faults: dict[int, int],
-        leftover_healthy_gpus: int,
-    ) -> None:
-        self.infeasible = infeasible
-        self.nodes_per_unit = nodes_per_unit
-        self.n_units = n_units
-        self.unit_faults = unit_faults
-        self.leftover_healthy_gpus = leftover_healthy_gpus
+from repro.hbd.base import CountDecomposition, HBDArchitecture, PlacementGroup
 
 
 class NVLHBD(HBDArchitecture):
     """NVL-style HBD composed of fixed-size switch-connected units."""
-
-    supports_delta = True
 
     def __init__(self, hbd_size: int, gpus_per_node: int = 4) -> None:
         super().__init__(gpus_per_node)
@@ -176,47 +139,6 @@ class NVLHBD(HBDArchitecture):
                 nodes=healthy, nodes_per_group=npg, tp_size=tp_size
             )
         return tuple(groups)
-
-    # ------------------------------------------------------------ delta replay
-    def _delta_init(
-        self, n_nodes: int, faulty: frozenset[int], tp_size: int
-    ) -> tuple[int, _NVLDelta]:
-        if tp_size > self.hbd_size:
-            return 0, _NVLDelta(True, self.nodes_per_unit, 0, {}, 0)
-        n_units = self.n_units(n_nodes)
-        unit_faults = self._faults_per_unit(n_nodes, faulty)
-        leftover_start = n_units * self.nodes_per_unit
-        leftover_healthy = sum(
-            self.gpus_per_node
-            for node in range(leftover_start, n_nodes)
-            if node not in faulty
-        )
-        usable = sum(
-            self._fit(self.hbd_size - unit_faults.get(u, 0) * self.gpus_per_node, tp_size)
-            for u in range(n_units)
-        ) + self._fit(leftover_healthy, tp_size)
-        aux = _NVLDelta(False, self.nodes_per_unit, n_units, unit_faults, leftover_healthy)
-        return usable, aux
-
-    def _delta_flip(self, state: DeltaReplayState, node: int, failed: bool) -> int:
-        aux: _NVLDelta = state.aux
-        if aux.infeasible:
-            return 0
-        tp_size = state.tp_size
-        step = self.gpus_per_node if failed else -self.gpus_per_node
-        unit = node // aux.nodes_per_unit
-        if unit < aux.n_units:
-            count = aux.unit_faults.get(unit, 0)
-            old = self._fit(self.hbd_size - count * self.gpus_per_node, tp_size)
-            count += 1 if failed else -1
-            if count:
-                aux.unit_faults[unit] = count
-            else:
-                del aux.unit_faults[unit]
-            return self._fit(self.hbd_size - count * self.gpus_per_node, tp_size) - old
-        old = self._fit(aux.leftover_healthy_gpus, tp_size)
-        aux.leftover_healthy_gpus -= step
-        return self._fit(aux.leftover_healthy_gpus, tp_size) - old
 
     # --------------------------------------------------------------- helpers
     def _faults_per_unit(self, n_nodes: int, faulty) -> dict[int, int]:

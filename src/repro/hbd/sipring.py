@@ -11,37 +11,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.hbd.base import (
-    CountDecomposition,
-    DeltaReplayState,
-    HBDArchitecture,
-    PlacementGroup,
-)
-
-
-class _SiPRingDelta:
-    """Per-ring fault counters for the O(delta) incremental update."""
-
-    __slots__ = ("nodes_per_ring", "n_rings", "per_ring_usable", "ring_faults")
-
-    def __init__(
-        self,
-        nodes_per_ring: int,
-        n_rings: int,
-        per_ring_usable: int,
-        ring_faults: dict[int, int],
-    ) -> None:
-        self.nodes_per_ring = nodes_per_ring
-        self.n_rings = n_rings
-        self.per_ring_usable = per_ring_usable
-        self.ring_faults = ring_faults
+from repro.hbd.base import CountDecomposition, HBDArchitecture, PlacementGroup
 
 
 class SiPRingHBD(HBDArchitecture):
     """Fixed-size static rings; a faulty node kills its whole ring."""
 
     name = "SiP-Ring"
-    supports_delta = True
 
     def usable_gpus(
         self, n_nodes: int, faulty_nodes: Iterable[int], tp_size: int
@@ -111,35 +87,3 @@ class SiPRingHBD(HBDArchitecture):
                 )
             )
         return tuple(groups)
-
-    # ------------------------------------------------------------ delta replay
-    def _delta_init(
-        self, n_nodes: int, faulty: frozenset[int], tp_size: int
-    ) -> tuple[int, _SiPRingDelta]:
-        nodes_per_ring = max(1, -(-tp_size // self.gpus_per_node))
-        per_ring_usable = self._fit(nodes_per_ring * self.gpus_per_node, tp_size)
-        n_rings = n_nodes // nodes_per_ring
-        ring_faults: dict[int, int] = {}
-        for node in faulty:
-            ring = node // nodes_per_ring
-            if ring < n_rings:
-                ring_faults[ring] = ring_faults.get(ring, 0) + 1
-        usable = (n_rings - len(ring_faults)) * per_ring_usable
-        aux = _SiPRingDelta(nodes_per_ring, n_rings, per_ring_usable, ring_faults)
-        return usable, aux
-
-    def _delta_flip(self, state: DeltaReplayState, node: int, failed: bool) -> int:
-        aux: _SiPRingDelta = state.aux
-        ring = node // aux.nodes_per_ring
-        if ring >= aux.n_rings:
-            return 0  # node beyond the last complete ring never counts
-        if failed:
-            count = aux.ring_faults.get(ring, 0)
-            aux.ring_faults[ring] = count + 1
-            return -aux.per_ring_usable if count == 0 else 0
-        count = aux.ring_faults[ring] - 1
-        if count:
-            aux.ring_faults[ring] = count
-            return 0
-        del aux.ring_faults[ring]
-        return aux.per_ring_usable

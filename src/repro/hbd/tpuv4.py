@@ -18,7 +18,6 @@ from collections.abc import Iterable
 
 from repro.hbd.base import (
     CountDecomposition,
-    DeltaReplayState,
     FaultCountKernel,
     HBDArchitecture,
     HealthyGroupDecomposition,
@@ -26,48 +25,10 @@ from repro.hbd.base import (
 )
 
 
-class _TPUv4Delta:
-    """Per-cube fault counters for the O(delta) incremental update.
-
-    ``multi_cube`` selects the regime: below the cube size usable capacity is
-    a per-cube (plus partial-cube) sum; above it only the count of fully
-    healthy cubes matters.
-    """
-
-    __slots__ = (
-        "multi_cube",
-        "nodes_per_cube",
-        "n_cubes",
-        "cube_faults",
-        "leftover_healthy_gpus",
-        "healthy_cubes",
-        "cubes_per_group",
-    )
-
-    def __init__(
-        self,
-        multi_cube: bool,
-        nodes_per_cube: int,
-        n_cubes: int,
-        cube_faults: dict[int, int],
-        leftover_healthy_gpus: int,
-        healthy_cubes: int,
-        cubes_per_group: int,
-    ) -> None:
-        self.multi_cube = multi_cube
-        self.nodes_per_cube = nodes_per_cube
-        self.n_cubes = n_cubes
-        self.cube_faults = cube_faults
-        self.leftover_healthy_gpus = leftover_healthy_gpus
-        self.healthy_cubes = healthy_cubes
-        self.cubes_per_group = cubes_per_group
-
-
 class TPUv4HBD(HBDArchitecture):
     """TPUv4-style hybrid HBD with cube-granular resource management."""
 
     name = "TPUv4"
-    supports_delta = True
 
     def __init__(self, gpus_per_node: int = 4, cube_size: int = 64) -> None:
         super().__init__(gpus_per_node)
@@ -208,74 +169,6 @@ class TPUv4HBD(HBDArchitecture):
                 )
             )
         return tuple(groups)
-
-    # ------------------------------------------------------------ delta replay
-    def _delta_init(
-        self, n_nodes: int, faulty: frozenset[int], tp_size: int
-    ) -> tuple[int, _TPUv4Delta]:
-        n_cubes = self.n_cubes(n_nodes)
-        cube_faults = self._faults_per_cube(n_nodes, faulty)
-        if tp_size <= self.cube_size:
-            leftover_start = n_cubes * self.nodes_per_cube
-            leftover_healthy = sum(
-                self.gpus_per_node
-                for node in range(leftover_start, n_nodes)
-                if node not in faulty
-            )
-            usable = sum(
-                self._fit(
-                    self.cube_size - cube_faults.get(c, 0) * self.gpus_per_node,
-                    tp_size,
-                )
-                for c in range(n_cubes)
-            ) + self._fit(leftover_healthy, tp_size)
-            aux = _TPUv4Delta(
-                False, self.nodes_per_cube, n_cubes, cube_faults,
-                leftover_healthy, 0, 0,
-            )
-            return usable, aux
-        cubes_per_group = -(-tp_size // self.cube_size)
-        healthy_cubes = n_cubes - len(cube_faults)
-        usable = (healthy_cubes // cubes_per_group) * tp_size
-        aux = _TPUv4Delta(
-            True, self.nodes_per_cube, n_cubes, cube_faults,
-            0, healthy_cubes, cubes_per_group,
-        )
-        return usable, aux
-
-    def _delta_flip(self, state: DeltaReplayState, node: int, failed: bool) -> int:
-        aux: _TPUv4Delta = state.aux
-        tp_size = state.tp_size
-        cube = node // aux.nodes_per_cube
-        if aux.multi_cube:
-            if cube >= aux.n_cubes:
-                return 0  # partial-cube nodes never join multi-cube groups
-            old = (aux.healthy_cubes // aux.cubes_per_group) * tp_size
-            count = aux.cube_faults.get(cube, 0)
-            if failed:
-                aux.cube_faults[cube] = count + 1
-                if count == 0:
-                    aux.healthy_cubes -= 1
-            else:
-                count -= 1
-                if count:
-                    aux.cube_faults[cube] = count
-                else:
-                    del aux.cube_faults[cube]
-                    aux.healthy_cubes += 1
-            return (aux.healthy_cubes // aux.cubes_per_group) * tp_size - old
-        if cube < aux.n_cubes:
-            count = aux.cube_faults.get(cube, 0)
-            old = self._fit(self.cube_size - count * self.gpus_per_node, tp_size)
-            count += 1 if failed else -1
-            if count:
-                aux.cube_faults[cube] = count
-            else:
-                del aux.cube_faults[cube]
-            return self._fit(self.cube_size - count * self.gpus_per_node, tp_size) - old
-        old = self._fit(aux.leftover_healthy_gpus, tp_size)
-        aux.leftover_healthy_gpus += -self.gpus_per_node if failed else self.gpus_per_node
-        return self._fit(aux.leftover_healthy_gpus, tp_size) - old
 
     # --------------------------------------------------------------- helpers
     def _faults_per_cube(self, n_nodes: int, faulty) -> dict[int, int]:

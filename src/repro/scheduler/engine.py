@@ -91,7 +91,7 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.faults.timeline import IntervalTimeline
-from repro.hbd.base import DeltaReplayState, HBDArchitecture, PlacementGroup
+from repro.hbd.base import HBDArchitecture, PlacementGroup
 from repro.scheduler.jobs import JobReport, JobSpec
 from repro.scheduler.placement import PlacementPolicy, placement_by_name
 from repro.scheduler.policies import FifoPolicy, SchedulingPolicy
@@ -356,11 +356,6 @@ class ClusterScheduler:
                     f"cluster ({self.total_gpus} GPUs)"
                 )
         self._usable: dict[tuple[frozenset[int], int], int] = {}
-        # Per-TP incremental replay states (architectures with an O(delta)
-        # update): capacity queries arrive in sweep order, so each memo miss
-        # advances the state by the few node events since the last query
-        # instead of recomputing over the whole node set.
-        self._delta_states: dict[int, DeltaReplayState] = {}
         # Placed-mode bookkeeping: memoized placement domains per (fault
         # set, TP), the nodes currently held by allocated jobs, and per-TP
         # free-node states (rebuilt whenever the fault set moves).
@@ -371,27 +366,12 @@ class ClusterScheduler:
 
     # ------------------------------------------------------------- capacity
     def _capacity(self, faults: frozenset[int], tp_size: int) -> int:
+        # Expected-value capacity: one full ``usable_gpus`` recompute per
+        # distinct (fault set, TP size); fault sets recur along the sweep.
         key = (faults, tp_size)
         usable = self._usable.get(key)
         if usable is None:
-            if self.architecture.supports_delta:
-                state = self._delta_states.get(tp_size)
-                if state is None:
-                    state = self.architecture.delta_state(
-                        self.n_nodes, faults, tp_size
-                    )
-                elif state.faults != faults:
-                    _, state = self.architecture.breakdown_delta(
-                        state,
-                        added_faults=faults - state.faults,
-                        removed_faults=state.faults - faults,
-                    )
-                self._delta_states[tp_size] = state
-                usable = state.usable
-            else:
-                usable = self.architecture.usable_gpus(
-                    self.n_nodes, faults, tp_size
-                )
+            usable = self.architecture.usable_gpus(self.n_nodes, faults, tp_size)
             self._usable[key] = usable
         return usable
 

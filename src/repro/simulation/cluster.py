@@ -8,14 +8,9 @@ IntervalTimeline`), the architecture model is asked for a
 previous configuration), and every section 6.2 metric is computed as an exact
 duration-weighted quantity over the intervals (:class:`IntervalSeries`).
 
-For sub-day granularity production traces, where even O(intervals x
-n_nodes) is too much, :func:`replay_intervals` also has an **incremental**
-walk: consecutive intervals differ by a handful of node events, so
-architectures with an O(delta) update (``architecture.supports_delta``; see
-:meth:`repro.hbd.base.HBDArchitecture.breakdown_delta`) walk the sweep line
-event by event in O(intervals x delta).  The default (``incremental=None``)
-picks the delta walk exactly when the architecture supports it; both paths
-are bit-for-bit identical (hypothesis-tested).
+:func:`replay_intervals` is the one scalar reference: the batched
+Monte-Carlo passes (:func:`repro.mc.replay_batch`) are tested bit for bit
+against it.
 """
 
 from __future__ import annotations
@@ -169,49 +164,24 @@ class _BreakdownMemo:
 
 
 def replay_intervals(
-    architecture: HBDArchitecture,
-    timeline: IntervalTimeline,
-    tp_size: int,
-    *,
-    incremental: bool | None = None,
+    architecture: HBDArchitecture, timeline: IntervalTimeline, tp_size: int
 ) -> IntervalSeries:
     """Exact event-driven replay of the interval timeline against one architecture.
 
-    Parameters
-    ----------
-    incremental:
-        ``None`` (default) walks the sweep line with the O(delta)
-        :meth:`~repro.hbd.base.HBDArchitecture.breakdown_delta` path exactly
-        when the architecture supports it, and otherwise evaluates one full
-        breakdown per *distinct* fault set (memoized).  ``True`` forces the
-        delta walk (architectures without an O(delta) update recompute per
-        interval -- total, just not faster), ``False`` forces the memoized
-        full path.  Both paths are bit-for-bit identical.
+    Evaluates one full breakdown per *distinct* fault set (memoized), so the
+    cost is O(distinct fault sets x n_nodes).  That suits the day-granular
+    synthetic traces, whose fault sets recur.  A long sub-day trace, where
+    nearly every interval has a new fault set, replays much faster through
+    :func:`repro.mc.replay_batch` on a one-seed
+    :class:`~repro.mc.TraceBatch`, with identical usable GPUs per interval.
     """
     _check_gpus_per_node(architecture, timeline.gpus_per_node)
     n_nodes = timeline.n_nodes
-    use_delta = architecture.supports_delta if incremental is None else bool(incremental)
-
-    if use_delta:
-        breakdowns: list[WasteBreakdown] = []
-        state = None
-        for interval in timeline.intervals:
-            if state is None:
-                state = architecture.delta_state(n_nodes, interval.nodes, tp_size)
-                breakdown, state = architecture.breakdown_delta(state)
-            else:
-                breakdown, state = architecture.breakdown_delta(
-                    state,
-                    added_faults=interval.nodes - state.faults,
-                    removed_faults=state.faults - interval.nodes,
-                )
-            breakdowns.append(breakdown)
-    else:
-        breakdown_for = _BreakdownMemo(architecture, n_nodes, tp_size)
-        breakdowns = [breakdown_for(interval.nodes) for interval in timeline.intervals]
+    breakdown_for = _BreakdownMemo(architecture, n_nodes, tp_size)
+    breakdowns = [breakdown_for(interval.nodes) for interval in timeline.intervals]
 
     # Interval boundaries come straight off the shared columnar view
-    # (bit-identical floats); the walk only produces breakdowns.
+    # (bit-identical floats); the memo only produces breakdowns.
     columnar = timeline.columnar
     return IntervalSeries(
         starts_hours=columnar.starts_hours.tolist(),

@@ -27,9 +27,11 @@ from repro.api import (
     default_architecture_specs,
     run_experiment,
 )
+import repro.api.runner as runner_module
 from repro.cache import ResultCache
 from repro.hbd import NVLHBD, architecture_by_name, list_architectures
 from repro.hbd.registry import DEFAULT_LINEUP
+from repro.mc import TraceBatch
 
 
 def small_spec(experiments=("waste",), **scenario_overrides):
@@ -261,6 +263,77 @@ class TestRunner:
         )
         with pytest.raises(ValueError, match="architectures"):
             ExperimentRunner(spec, max_workers=1).run()
+
+
+class TestSharedCells:
+    """Each (architecture, TP) capacity cell is replayed once per run."""
+
+    EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting")
+    CELLS = [("InfiniteHBD(K=3)", 16), ("InfiniteHBD(K=3)", 32), ("NVL-72", 16), ("NVL-72", 32)]
+
+    def test_single_seed_replays_each_cell_once(self, monkeypatch):
+        calls = []
+        replay = runner_module.replay_intervals
+
+        def counting(architecture, timeline, tp_size):
+            calls.append((architecture.name, tp_size))
+            return replay(architecture, timeline, tp_size)
+
+        monkeypatch.setattr(runner_module, "replay_intervals", counting)
+        results = ExperimentRunner(small_spec(experiments=self.EXPERIMENTS), max_workers=1).run()
+        assert len(results) == 12
+        assert sorted(calls) == self.CELLS
+
+    def test_multi_seed_replays_each_cell_once(self, monkeypatch):
+        calls = []
+        batches = []
+        replay = runner_module.replay_batch
+        from_timelines = TraceBatch.from_timelines
+
+        def counting(architecture, batch, tp_size):
+            calls.append((architecture.name, tp_size))
+            return replay(architecture, batch, tp_size)
+
+        def counting_batches(*args, **kwargs):
+            batches.append(args)
+            return from_timelines(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "replay_batch", counting)
+        monkeypatch.setattr(TraceBatch, "from_timelines", counting_batches)
+        spec = small_spec(experiments=self.EXPERIMENTS)
+        results = ExperimentRunner(spec, max_workers=1, num_seeds=2).run()
+        assert len(results) == 12
+        assert sorted(calls) == self.CELLS
+        assert len(batches) == 4
+
+    def test_re_registered_name_is_replayed_again(self):
+        name = "test-shared-cell"
+        spec = small_spec(experiments=self.EXPERIMENTS, architectures=(ArchitectureSpec(name=name),))
+
+        def register(hbd_size):
+            REGISTRY.register_factory(
+                name,
+                lambda gpus_per_node=4: NVLHBD(hbd_size, gpus_per_node=gpus_per_node),
+                override=True,
+            )
+
+        try:
+            register(144)
+            first = run_experiment(spec, max_workers=1)
+            register(36)
+            second = run_experiment(spec, max_workers=1)
+        finally:
+            REGISTRY.unregister(name)
+        nvl36 = run_experiment(
+            small_spec(experiments=self.EXPERIMENTS, architectures=(ArchitectureSpec(name="NVL-36"),)),
+            max_workers=1,
+        )
+        assert first.architectures() == ["NVL-144"]
+        assert second.architectures() == ["NVL-36"]
+        for got, want in zip(second, nvl36, strict=True):
+            assert (got.experiment, got.tp_size) == (want.experiment, want.tp_size)
+            assert got.metrics == want.metrics
+            assert got.series == want.series
 
 
 class TestFailFast:

@@ -305,6 +305,23 @@ class TestExactVsGridReplay:
         assert exact.min_usable_gpus == grid_min
         assert exact.supported_job_scale(1.0) == grid_min
 
+    @settings(max_examples=20, deadline=None)
+    @given(raw=st.lists(event_strategy, max_size=20))
+    def test_replay_matches_seed_grid_path(self, raw):
+        """The seed's hourly grid: one full breakdown per sampled instant."""
+        trace = build_trace(raw)
+        timeline = trace.interval_timeline()
+        arch = NVLHBD(8, gpus_per_node=4)
+        series = replay_intervals(arch, timeline, 8)
+        # Each grid sample falls inside exactly one interval; its breakdown
+        # must equal that interval's replayed value.
+        index = 0
+        for t in trace.sample_times(1.0):
+            while index < len(series) - 1 and series.ends_hours[index] <= t:
+                index += 1
+            grid = arch.breakdown(N_NODES, timeline.fault_set_at(t), 8)
+            assert grid.waste_ratio == series.waste_ratios[index]
+
     def test_exact_catches_sub_grid_dips(self):
         # A 1-hour blip is invisible to the daily grid (it falls between
         # samples) but exact replay accounts for it.

@@ -250,6 +250,39 @@ class TestSegmentPass:
             series.series_for_seed(0), replay_intervals(architecture, timeline, 16)
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        k=st.integers(min_value=1, max_value=4),
+        ring=st.booleans(),
+        tp_size=st.sampled_from((2, 4, 8, 16)),
+        initial=st.sets(st.integers(min_value=0, max_value=39), max_size=12),
+        flips=st.lists(st.integers(min_value=0, max_value=39), max_size=60),
+    )
+    def test_random_flip_walk_matches_scalar(self, n, k, ring, tp_size, initial, flips):
+        """A random walk of single-node flips, one per hour, on one seed.
+
+        Each flip merges or splits runs around one node, so the walk covers
+        wrap-around runs, bridged runs turning into cuts and back, and the
+        ring with no breakpoint, across K, ring/line mode and TP sizes.
+        """
+        failed_at = {node: 0 for node in initial if node < n}
+        runs = []
+        for hour, node in enumerate(flips, start=1):
+            node %= n
+            if node in failed_at:
+                runs.append((node, failed_at.pop(node), hour))
+            else:
+                failed_at[node] = hour
+        end = len(flips) + 1
+        runs.extend((node, start, end) for node, start in failed_at.items())
+        timeline = _timeline(n, float(end), runs)
+        architecture = InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring)
+        series = replay_batch(architecture, TraceBatch.from_timelines([timeline]), tp_size)
+        _assert_series_equal(
+            series.series_for_seed(0), replay_intervals(architecture, timeline, tp_size)
+        )
+
     @pytest.mark.parametrize("ring", [True, False])
     def test_chunked_pass_matches_single_chunk(self, monkeypatch, ring):
         architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4, ring=ring)
