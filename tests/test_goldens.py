@@ -1,16 +1,27 @@
-"""Golden-file regression snapshots for the blast-radius study.
+"""Golden-file regression snapshots for the blast-radius study and scheduler.
 
 A small canonical packed-vs-spread blast-radius :class:`ResultSet` (two
 architectures, three correlation levels) is kept as checked-in JSON and must
 stay **byte-stable**: any change to the generators, the scheduler, the
 runner's aggregation or the serialization shows up as a diff here.
 
+The scheduler grid pins :class:`ClusterScheduler` itself: every policy, with
+its default preemption and with preemption forced on, under both capacity
+models (expected-value, packed, spread), with and without backfill, run to
+completion and to a finite horizon, on three architectures.  Each case
+stores the SHA-256 of its canonical report JSON, so any change to what the
+engine schedules -- or to the float rounding of its accounting -- shows up
+as a named drifted case.
+
 Refresh intentionally with::
 
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
 """
 
+import dataclasses
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -22,6 +33,15 @@ from repro.api.spec import (
     TraceSpec,
     WorkloadSpec,
 )
+from repro.faults.trace import FaultEvent, FaultTrace
+from repro.hbd.registry import architecture_by_name
+from repro.scheduler import (
+    ClusterScheduler,
+    WorkloadConfig,
+    generate_workload,
+    policy_by_name,
+)
+from repro.scheduler.policies import POLICY_NAMES
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -93,6 +113,110 @@ class TestBlastRadiusGolden:
         stored = json.loads((GOLDEN_DIR / "blast_radius_resultset.json").read_text())
         fresh_rows = [r.to_dict() for r in fresh]
         assert fresh_rows == stored["results"]
+
+
+#: Scheduler grid: 72 four-GPU nodes, 24 faults over four days.
+GRID_NODES = 72
+GRID_DAYS = 4
+GRID_FAULTS = 24
+GRID_ARCHITECTURES = ("InfiniteHBD(K=2)", "NVL-36", "TPUv4")
+GRID_PLACEMENTS = (None, "packed", "spread")
+GRID_HORIZONS = (None, 24.0)
+
+
+def _grid_trace():
+    """Faults at fractional hours (many distinct intervals), fixed forever."""
+    rng = random.Random(348)
+    events = []
+    for _ in range(GRID_FAULTS):
+        start = rng.uniform(0.0, GRID_DAYS * 24.0)
+        events.append(
+            FaultEvent(
+                node_id=rng.randrange(GRID_NODES),
+                start_hour=start,
+                end_hour=start + rng.expovariate(1.0 / 12.0),
+            )
+        )
+    return FaultTrace(
+        n_nodes=GRID_NODES, duration_days=GRID_DAYS, events=events, gpus_per_node=4
+    )
+
+
+def _grid_jobs():
+    """40 jobs mixing TP 8 and TP 16, so placed mode fragments domains."""
+    narrow = generate_workload(
+        WorkloadConfig(
+            n_jobs=30, seed=5, tp_size=8, max_gpus=160,
+            mean_interarrival_hours=1.5, median_work_hours=8.0,
+        )
+    )
+    wide = generate_workload(
+        WorkloadConfig(
+            n_jobs=10, seed=6, tp_size=16, max_gpus=128,
+            mean_interarrival_hours=4.0, median_work_hours=6.0,
+        )
+    )
+    return narrow + tuple(
+        dataclasses.replace(job, name=f"wide-{job.name}") for job in wide
+    )
+
+
+def _scheduler_grid():
+    """Case id -> SHA-256 of the run's canonical ``ClusterReport`` JSON."""
+    timeline = _grid_trace().interval_timeline()
+    jobs = _grid_jobs()
+    digests = {}
+    for arch_name in GRID_ARCHITECTURES:
+        arch = architecture_by_name(arch_name)
+        for policy_name in POLICY_NAMES:
+            # Default preemption, then forced on (one case when they agree).
+            modes = sorted({policy_by_name(policy_name).preemptive, True})
+            for preemptive in modes:
+                for placement in GRID_PLACEMENTS:
+                    for backfill in (False, True):
+                        for horizon in GRID_HORIZONS:
+                            report = ClusterScheduler(
+                                arch,
+                                timeline,
+                                jobs,
+                                policy=policy_by_name(policy_name, preemptive),
+                                horizon_hours=horizon,
+                                placement=placement,
+                                backfill=backfill,
+                            ).run()
+                            case = (
+                                f"{arch_name}|{policy_name}|preemptive={preemptive}"
+                                f"|{placement or 'expected-value'}"
+                                f"|backfill={backfill}|horizon={horizon}"
+                            )
+                            canonical = json.dumps(report.to_dict(), sort_keys=True)
+                            digests[case] = hashlib.sha256(
+                                canonical.encode()
+                            ).hexdigest()
+    return digests
+
+
+class TestSchedulerGridGolden:
+    def test_scheduler_grid_is_byte_stable(self, update_goldens):
+        digests = _scheduler_grid()
+        name = "scheduler_grid.json"
+        if not update_goldens and (GOLDEN_DIR / name).is_file():
+            # Name the drifted cases before the whole-file comparison.
+            stored = json.loads((GOLDEN_DIR / name).read_text())
+            drifted = sorted(
+                case for case in digests if stored.get(case) != digests[case]
+            )
+            assert not drifted, f"scheduler grid cases drifted: {drifted}"
+        _check_or_update(name, json.dumps(digests, indent=2) + "\n", update_goldens)
+
+    def test_grid_covers_every_policy_mode_and_capacity_model(self):
+        stored = json.loads((GOLDEN_DIR / "scheduler_grid.json").read_text())
+        # 4 classic policies x 2 preemption modes + gittins and optimizer
+        # (preemptive by default) = 10 policy modes, x 3 capacity models
+        # x 2 backfill x 2 horizons x 3 architectures.
+        assert len(stored) == 10 * 3 * 2 * 2 * 3
+        for policy_name in POLICY_NAMES:
+            assert any(f"|{policy_name}|" in case for case in stored)
 
 
 class TestGoldenHygiene:

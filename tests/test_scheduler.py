@@ -2,15 +2,22 @@
 
 Covers the engine's event sweep (arrivals, completions, fault-driven
 descheduling, preemption, restart debt), the policy zoo, the workload
-generator, and two property-based invariants:
+generator, and property-based invariants:
 
 * **conservation** -- for every job, productive + waiting + restart hours
   partition its wall-clock time in the system, across random traces,
-  workloads and policies;
+  workloads, policies, capacity models and backfill;
+* **metamorphic** -- shuffling the input job list (with distinct submit
+  hours) or renaming every job changes no job's report;
+* **static keys** -- every policy without ``dynamic_priority`` ranks a job
+  independently of its attained service and waiting time, the contract
+  that lets the engine key a queued job once;
 * **goodput equivalence** -- the single-job scheduler path reproduces the
   classic :class:`GoodputSimulator` accounting exactly (compared against a
   verbatim port of the pre-scheduler replay loop).
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +34,7 @@ from repro.scheduler import (
     schedule_comparison,
 )
 from repro.scheduler.policies import (
+    POLICY_NAMES,
     FifoPolicy,
     ShortestRemainingPolicy,
     SmallestFirstPolicy,
@@ -404,29 +412,44 @@ def workloads(draw, n_nodes):
     return jobs
 
 
+#: Architectures the engine properties draw from: one flat domain, healthy
+#: K-hop segments, and fixed switch units (placed-mode fragmentation).
+PROPERTY_ARCHITECTURES = (
+    BigSwitchHBD(4),
+    InfiniteHBDArchitecture(k=2, gpus_per_node=4),
+    NVLHBD(8, gpus_per_node=4),
+)
+
+
 class TestConservationInvariant:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_time_buckets_partition_wall_clock(self, data):
         trace = data.draw(fault_traces())
         jobs = data.draw(workloads(trace.n_nodes))
-        policy = data.draw(st.sampled_from(["fifo", "smallest-first", "shortest-remaining"]))
+        policy = data.draw(st.sampled_from(POLICY_NAMES))
         preemptive = data.draw(st.booleans())
+        architecture = data.draw(st.sampled_from(PROPERTY_ARCHITECTURES))
+        placement = data.draw(st.sampled_from([None, "packed", "spread"]))
+        backfill = data.draw(st.booleans())
         horizon = trace.duration_hours * 3.0
 
         report = ClusterScheduler(
-            BigSwitchHBD(4),
+            architecture,
             trace.interval_timeline(),
             jobs,
             policy=policy_by_name(policy, preemptive),
             horizon_hours=horizon,
+            placement=placement,
+            backfill=backfill,
         ).run()
 
         for job in report.jobs:
             buckets = job.productive_hours + job.waiting_hours + job.restart_hours
             assert buckets == pytest.approx(job.wall_clock_hours, abs=1e-6), (
                 f"{job.name}: {buckets} != wall clock {job.wall_clock_hours} "
-                f"under {policy} (preemptive={preemptive})"
+                f"under {policy} (preemptive={preemptive}, placement="
+                f"{placement}, backfill={backfill}) on {architecture.name}"
             )
             if job.finished:
                 assert job.productive_hours == pytest.approx(
@@ -437,6 +460,131 @@ class TestConservationInvariant:
             assert job.productive_hours >= 0
             assert job.waiting_hours >= 0
             assert job.restart_hours >= 0
+
+
+@st.composite
+def scheduler_setups(draw):
+    """A random trace, a workload with distinct submit hours, and a config."""
+    trace = draw(fault_traces())
+    # Two workload draws give queues up to ten deep.
+    jobs = draw(workloads(trace.n_nodes)) + draw(workloads(trace.n_nodes))
+    submits = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=72.0),
+            min_size=len(jobs),
+            max_size=len(jobs),
+            unique=True,
+        )
+    )
+    jobs = [
+        dataclasses.replace(job, name=f"j{i}", submit_hour=submit)
+        for i, (job, submit) in enumerate(zip(jobs, submits))
+    ]
+    config = {
+        "architecture": draw(st.sampled_from(PROPERTY_ARCHITECTURES)),
+        "policy": draw(st.sampled_from(POLICY_NAMES)),
+        "preemptive": draw(st.booleans()),
+        "placement": draw(st.sampled_from([None, "packed", "spread"])),
+        "backfill": draw(st.booleans()),
+    }
+    return trace, jobs, config
+
+
+def _job_reports(trace, jobs, config):
+    """Run the scheduler and key every job's report by name."""
+    report = ClusterScheduler(
+        config["architecture"],
+        trace.interval_timeline(),
+        jobs,
+        policy=policy_by_name(config["policy"], config["preemptive"]),
+        horizon_hours=trace.duration_hours * 3.0,
+        placement=config["placement"],
+        backfill=config["backfill"],
+    ).run()
+    return {job.name: job for job in report.jobs}
+
+
+class TestMetamorphicProperties:
+    """Relabelling the input must not change any job's outcome, bit for bit.
+
+    With distinct submit hours no policy key ever falls through to the
+    sequence tie-breaker, so the input order is irrelevant; job names are
+    labels only.  Every ``JobReport`` field is compared exactly.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(setup=scheduler_setups(), data=st.data())
+    def test_shuffling_the_job_list_changes_nothing(self, setup, data):
+        trace, jobs, config = setup
+        shuffled = data.draw(st.permutations(jobs))
+        assert _job_reports(trace, shuffled, config) == _job_reports(
+            trace, jobs, config
+        ), config
+
+    @settings(max_examples=40, deadline=None)
+    @given(setup=scheduler_setups())
+    def test_renaming_every_job_changes_nothing(self, setup):
+        trace, jobs, config = setup
+        renamed = [
+            dataclasses.replace(job, name=f"renamed-{len(jobs) - i}")
+            for i, job in enumerate(jobs)
+        ]
+        original = _job_reports(trace, jobs, config)
+        relabelled = _job_reports(trace, renamed, config)
+        for job, alias in zip(jobs, renamed):
+            assert dataclasses.replace(
+                relabelled[alias.name], name=job.name
+            ) == original[job.name], config
+
+
+class TestStaticKeyContract:
+    """The engine keys a queued job once, when it enters the queue.
+
+    That is exact only if a policy without ``dynamic_priority`` reads neither
+    ``attained_hours`` nor ``waiting_hours``: those are the clocks that move
+    while a job waits or runs, and its other key inputs are frozen while it
+    is queued.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(
+            [n for n in POLICY_NAMES if not policy_by_name(n).dynamic_priority]
+        ),
+        preemptive=st.booleans(),
+        groups=st.integers(min_value=1, max_value=64),
+        submit=st.floats(min_value=0.0, max_value=1e4),
+        remaining=st.one_of(
+            st.floats(min_value=0.0, max_value=1e4), st.just(float("inf"))
+        ),
+        sequence=st.integers(min_value=0, max_value=10_000),
+        allocated=st.booleans(),
+        clocks=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e6),
+                st.floats(min_value=0.0, max_value=1e6),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    def test_key_ignores_attained_and_waiting_hours(
+        self, name, preemptive, groups, submit, remaining, sequence, allocated, clocks
+    ):
+        policy = policy_by_name(name, preemptive)
+        job = JobSpec(name="j", gpus=8 * groups, tp_size=8, submit_hour=submit)
+        keys = {
+            policy.runtime_key(
+                job,
+                remaining,
+                sequence,
+                attained_hours=attained,
+                waiting_hours=waiting,
+                allocated=allocated,
+            )
+            for attained, waiting in clocks
+        }
+        assert len(keys) == 1, (name, keys)
 
 
 def _reference_goodput(architecture, trace, config, n_nodes=None):
