@@ -120,6 +120,19 @@ GRID_NODES = 72
 GRID_DAYS = 4
 GRID_FAULTS = 24
 GRID_ARCHITECTURES = ("InfiniteHBD(K=2)", "NVL-36", "TPUv4")
+#: (case label, policy name, knobs, backfill settings): every built-in
+#: policy at its defaults, plus a gittins whose 32 GPU-hour first quantum
+#: demotes most jobs and whose starve limit of 1 promotes them back, so its
+#: dynamic keys move while jobs wait.  Backfill is a no-op for gittins (not
+#: strict-order), so the extra variant runs without it only.
+GRID_POLICIES = tuple((name, name, {}, (False, True)) for name in POLICY_NAMES) + (
+    (
+        "gittins-fast",
+        "gittins",
+        {"threshold_gpu_hours": 32.0, "starve_limit": 1.0},
+        (False,),
+    ),
+)
 GRID_PLACEMENTS = (None, "packed", "spread")
 GRID_HORIZONS = (None, 24.0)
 
@@ -168,24 +181,26 @@ def _scheduler_grid():
     digests = {}
     for arch_name in GRID_ARCHITECTURES:
         arch = architecture_by_name(arch_name)
-        for policy_name in POLICY_NAMES:
+        for label, policy_name, knobs, backfills in GRID_POLICIES:
             # Default preemption, then forced on (one case when they agree).
             modes = sorted({policy_by_name(policy_name).preemptive, True})
             for preemptive in modes:
                 for placement in GRID_PLACEMENTS:
-                    for backfill in (False, True):
+                    for backfill in backfills:
                         for horizon in GRID_HORIZONS:
                             report = ClusterScheduler(
                                 arch,
                                 timeline,
                                 jobs,
-                                policy=policy_by_name(policy_name, preemptive),
+                                policy=policy_by_name(
+                                    policy_name, preemptive, **knobs
+                                ),
                                 horizon_hours=horizon,
                                 placement=placement,
                                 backfill=backfill,
                             ).run()
                             case = (
-                                f"{arch_name}|{policy_name}|preemptive={preemptive}"
+                                f"{arch_name}|{label}|preemptive={preemptive}"
                                 f"|{placement or 'expected-value'}"
                                 f"|backfill={backfill}|horizon={horizon}"
                             )
@@ -213,10 +228,11 @@ class TestSchedulerGridGolden:
         stored = json.loads((GOLDEN_DIR / "scheduler_grid.json").read_text())
         # 4 classic policies x 2 preemption modes + gittins and optimizer
         # (preemptive by default) = 10 policy modes, x 3 capacity models
-        # x 2 backfill x 2 horizons x 3 architectures.
-        assert len(stored) == 10 * 3 * 2 * 2 * 3
-        for policy_name in POLICY_NAMES:
-            assert any(f"|{policy_name}|" in case for case in stored)
+        # x 2 backfill x 2 horizons x 3 architectures; gittins-fast adds 3
+        # capacity models x 2 horizons x 3 architectures.
+        assert len(stored) == 10 * 3 * 2 * 2 * 3 + 3 * 2 * 3
+        for label, _, _, _ in GRID_POLICIES:
+            assert any(f"|{label}|" in case for case in stored)
 
 
 class TestGoldenHygiene:
