@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cache import CACHE_MODES
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
-from repro.scheduler.jobs import JobSpec, check_known_fields
+from repro.scheduler.jobs import JobSpec, check_finite, check_known_fields
 from repro.scheduler.placement import (
     PLACEMENT_NAMES,
     PlacementPolicy,
@@ -442,6 +442,14 @@ class SchedulerSpec:
             raise ValueError(
                 f"unknown scheduling policy {self.policy!r}; known: {list(POLICY_NAMES)}"
             )
+        check_finite(
+            self,
+            "horizon_hours",
+            "gittins_threshold_gpu_hours",
+            "gittins_starve_limit",
+            "optimizer_horizon_hours",
+            "optimizer_stability_bonus",
+        )
         if self.horizon_hours is not None and self.horizon_hours <= 0:
             raise ValueError("horizon_hours must be positive")
         if self.placement is not None and self.placement not in PLACEMENT_NAMES:

@@ -81,24 +81,49 @@ demotion/promotion crossings, and policies with a ``lookahead_k`` window
 replace the admission walk with a k-job look-ahead that scores every
 fitting window candidate and admits the best one (dry-run placement plans
 in placed mode).
+
+**Event core**: the sweep keeps the in-system jobs in two lists.
+``running`` holds the allocated jobs -- few, since each holds at least one
+TP group.  ``queue`` holds the jobs without an allocation, in policy-key
+order.  A queued job's key is computed once, when it enters the queue
+(arrival, eviction or fault hit, after its allocation flag is cleared),
+and the job is placed with :func:`bisect.insort`.  That is exact because a
+policy without ``dynamic_priority`` keys only on the spec, the remaining
+work (frozen while queued), the sequence number and the allocation flag,
+and every key ends in the sequence number, so the order is total.
+Running jobs are re-keyed at every event (their remaining work drifts):
+non-preemptive selection walks them first and merges any capacity-displaced
+ones into the queue order; preemptive selection walks running and queued
+jobs merged into one key order.  The next-event minimum, running-time
+accrual, completions, fault hits, restart debt and reallocation
+bookkeeping touch only ``running`` and the jobs whose allocation changed.
+The queue is walked from its head only as far as admission needs (a
+strict-order policy stops at the first job that does not fit), and
+adding ``dt`` to each queued job's waiting time is the one per-event loop
+over all of ``queue``.  A ``dynamic_priority`` policy re-keys and
+re-sorts the whole queue at every event instead.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from operator import attrgetter
 from typing import Any
 
 from repro.faults.timeline import IntervalTimeline
 from repro.hbd.base import HBDArchitecture, PlacementGroup
-from repro.scheduler.jobs import JobReport, JobSpec
+from repro.scheduler.jobs import JobReport, JobSpec, check_finite
 from repro.scheduler.placement import PlacementPolicy, placement_by_name
 from repro.scheduler.policies import FifoPolicy, SchedulingPolicy
 from repro.scheduler.report import ClusterReport
 
 #: Tolerance for "this phase is over" comparisons on accumulated floats.
 _EPS = 1e-9
+
+#: Sort accessor for the policy key cached on each :class:`_JobRuntime`.
+_by_key = attrgetter("key")
 
 
 class _JobRuntime:
@@ -121,6 +146,7 @@ class _JobRuntime:
         "in_system",
         "allocated",
         "nodes",
+        "key",
     )
 
     def __init__(self, spec: JobSpec, sequence: int) -> None:
@@ -140,6 +166,8 @@ class _JobRuntime:
         self.in_system = False
         self.allocated = False
         self.nodes: frozenset[int] = frozenset()
+        # Policy sort key as of the job's last keying (see ``run``).
+        self.key: tuple[Any, ...] = ()
 
     @property
     def done(self) -> bool:
@@ -276,9 +304,9 @@ class ClusterScheduler:
         A :class:`~repro.scheduler.policies.SchedulingPolicy` (default:
         non-preemptive FIFO).
     horizon_hours:
-        Hard stop of the simulation.  ``None`` (default) runs until every
-        job completes -- which requires every job to fit the fault-free
-        cluster and to have finite work.
+        Hard stop of the simulation, positive and finite.  ``None``
+        (default) runs until every job completes -- which requires every
+        job to fit the fault-free cluster and to have finite work.
     placement:
         ``None`` (default) keeps the expected-value capacity model.  A
         :class:`~repro.scheduler.placement.PlacementPolicy` (or its spec
@@ -342,6 +370,9 @@ class ClusterScheduler:
         self.timeline = timeline
         self.policy = policy if policy is not None else FifoPolicy()
         self.horizon_hours = horizon_hours
+        check_finite(self, "horizon_hours")
+        if horizon_hours is not None and horizon_hours <= 0:
+            raise ValueError("horizon_hours must be positive")
         if isinstance(placement, str):
             placement = placement_by_name(placement)
         self.placement = placement
@@ -591,7 +622,7 @@ class ClusterScheduler:
     def _lookahead_fill(
         self,
         admission: list[_JobRuntime],
-        selected: set[int],
+        chosen: list[_JobRuntime],
         used: int,
         faults: frozenset[int],
     ) -> None:
@@ -623,12 +654,13 @@ class ClusterScheduler:
             if best < 0:
                 break
             winner = queue.pop(best)
-            selected.add(winner.sequence)
+            chosen.append(winner)
             used += winner.spec.gpus
 
     def _lookahead_place(
         self,
         admission: list[_JobRuntime],
+        chosen: list[_JobRuntime],
         placements: dict[int, frozenset[int]],
         faults: frozenset[int],
     ) -> None:
@@ -669,21 +701,84 @@ class ClusterScheduler:
                 break
             winner = queue.pop(best)
             assert best_plan is not None and best_state is not None
+            chosen.append(winner)
             placements[winner.sequence] = self._commit_plan(
                 best_state, best_plan, winner.spec.tp_size
             )
 
+    def _keyed(self, running: list[_JobRuntime]) -> list[_JobRuntime]:
+        """Re-key the running jobs and return them in policy order.
+
+        Running keys drift (remaining work shrinks, the optimizer credits
+        allocated jobs a stability bonus), so they are recomputed at every
+        event; there are few running jobs.
+        """
+        for rt in running:
+            rt.key = self._runtime_key(rt)
+        return sorted(running, key=_by_key)
+
+    def _walk(
+        self,
+        admission: list[_JobRuntime],
+        chosen: list[_JobRuntime],
+        take: Callable[[_JobRuntime], bool],
+        faults: frozenset[int],
+        t: float,
+    ) -> None:
+        """Greedy admission in policy order, appending winners to ``chosen``.
+
+        ``take`` tries to allocate one job (and records the allocation).  A
+        job that does not fit blocks everything behind it under a
+        strict-order policy, unless backfill opens an EASY reservation for
+        it: later jobs are then admitted only when they cannot delay it.
+        """
+        strict = self.policy.strict_order
+        shadow: float | None = None
+        extra = 0.0
+        for rt in admission:
+            if shadow is not None:
+                admit, consumes = self._may_backfill(rt, t, shadow, extra)
+                if admit and take(rt):
+                    chosen.append(rt)
+                    if consumes:
+                        extra -= rt.spec.gpus
+                continue
+            if take(rt):
+                chosen.append(rt)
+            elif strict:
+                if not self.backfill:
+                    break
+                shadow, extra = self._backfill_window(rt, chosen, faults, t)
+
+    @staticmethod
+    def _changes(
+        running: list[_JobRuntime], chosen: list[_JobRuntime]
+    ) -> tuple[list[_JobRuntime], list[_JobRuntime]]:
+        """(queued jobs newly admitted, running jobs evicted) by a selection."""
+        kept = {rt.sequence for rt in chosen if rt.allocated}
+        admitted = [rt for rt in chosen if not rt.allocated]
+        evicted = [rt for rt in running if rt.sequence not in kept]
+        return admitted, evicted
+
     def _select(
-        self, in_system: list[_JobRuntime], faults: frozenset[int], t: float
-    ) -> set[int]:
-        """Greedy policy-ordered allocation; returns the selected sequences."""
+        self,
+        running: list[_JobRuntime],
+        queue: list[_JobRuntime],
+        faults: frozenset[int],
+        t: float,
+    ) -> tuple[list[_JobRuntime], list[_JobRuntime]]:
+        """Expected-value allocation: (admitted, evicted) jobs.
+
+        ``queue`` is already in policy order, so only the running jobs are
+        keyed here and merged in.
+        """
         policy = self.policy
-        key = self._runtime_key
-        selected: set[int] = set()
         chosen: list[_JobRuntime] = []
         used = 0
+        admission = queue
         if policy.preemptive:
-            admission = sorted(in_system, key=key)
+            # Two sorted runs over cached keys: the sort is a linear merge.
+            admission = sorted(queue + self._keyed(running), key=_by_key)
         else:
             # Running jobs outrank every queued job: only a capacity drop
             # (or completion) releases their allocation.  A running job the
@@ -692,74 +787,56 @@ class ClusterScheduler:
             # it still blocks every younger job (no backfill past the
             # descheduled queue head).
             displaced: list[_JobRuntime] = []
-            for rt in sorted((rt for rt in in_system if rt.allocated), key=key):
+            for rt in self._keyed(running):
                 if used + rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size):
-                    selected.add(rt.sequence)
                     chosen.append(rt)
                     used += rt.spec.gpus
                 else:
                     displaced.append(rt)
-            admission = sorted(
-                [rt for rt in in_system if not rt.allocated] + displaced, key=key
-            )
+            if displaced:
+                admission = sorted(queue + displaced, key=_by_key)
+
+        def take(rt: _JobRuntime) -> bool:
+            nonlocal used
+            if used + rt.spec.gpus > self._capacity(faults, rt.spec.tp_size):
+                return False
+            used += rt.spec.gpus
+            return True
+
         if policy.lookahead_k is not None:
-            self._lookahead_fill(admission, selected, used, faults)
-            return selected
-        shadow: float | None = None
-        extra = 0.0
-        for rt in admission:
-            if shadow is not None:
-                admit, consumes = self._may_backfill(rt, t, shadow, extra)
-                if not admit:
-                    continue
-                if used + rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size):
-                    selected.add(rt.sequence)
-                    chosen.append(rt)
-                    used += rt.spec.gpus
-                    if consumes:
-                        extra -= rt.spec.gpus
-                continue
-            if used + rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size):
-                selected.add(rt.sequence)
-                chosen.append(rt)
-                used += rt.spec.gpus
-            elif policy.strict_order:
-                if not self.backfill:
-                    break
-                shadow, extra = self._backfill_window(rt, chosen, faults, t)
-        return selected
+            self._lookahead_fill(admission, chosen, used, faults)
+        else:
+            self._walk(admission, chosen, take, faults, t)
+        return self._changes(running, chosen)
 
     def _select_placed(
-        self, in_system: list[_JobRuntime], faults: frozenset[int], t: float
-    ) -> dict[int, frozenset[int]]:
-        """Placed-mode allocation: concrete nodes per selected job."""
+        self,
+        running: list[_JobRuntime],
+        queue: list[_JobRuntime],
+        faults: frozenset[int],
+        t: float,
+    ) -> tuple[list[_JobRuntime], list[_JobRuntime], dict[int, frozenset[int]]]:
+        """Placed-mode allocation: (admitted, evicted, nodes per chosen job)."""
         policy = self.policy
-        key = self._runtime_key
         placements: dict[int, frozenset[int]] = {}
         chosen: list[_JobRuntime] = []
+        admission = queue
         if policy.preemptive:
             # Re-place everyone in priority order; a job keeps its exact
             # nodes when no higher-priority job claimed them (stability --
             # an unmoved job is never charged).
             self._held.clear()
             self._tp_states.clear()
-            admission = sorted(in_system, key=key)
+            admission = sorted(queue + self._keyed(running), key=_by_key)
         else:
             # Running jobs are immovable in placed mode: their concrete
             # nodes are healthy (fault hits released theirs already), so
             # only completions free nodes.
-            for rt in in_system:
-                if rt.allocated:
-                    placements[rt.sequence] = rt.nodes
-                    chosen.append(rt)
-            admission = sorted(
-                [rt for rt in in_system if not rt.allocated], key=key
-            )
-        if policy.lookahead_k is not None:
-            self._lookahead_place(admission, placements, faults)
-            return placements
+            for rt in running:
+                placements[rt.sequence] = rt.nodes
+                chosen.append(rt)
 
-        def attempt(rt: _JobRuntime) -> frozenset[int] | None:
+        def take(rt: _JobRuntime) -> bool:
             # A still-allocated job keeps its exact nodes whenever no
             # higher-priority job claimed them (stability: an unmoved job
             # is never charged); otherwise it is placed like any other.
@@ -771,42 +848,31 @@ class ClusterScheduler:
             ):
                 self._held |= rt.nodes
                 self._placed_sync(rt.nodes)
-                return rt.nodes
-            return self._try_place(rt, faults)
+                nodes: frozenset[int] | None = rt.nodes
+            else:
+                nodes = self._try_place(rt, faults)
+            if nodes is None:
+                return False
+            placements[rt.sequence] = nodes
+            return True
 
-        shadow: float | None = None
-        extra = 0.0
-        for rt in admission:
-            if shadow is not None:
-                admit, consumes = self._may_backfill(rt, t, shadow, extra)
-                if not admit:
-                    continue
-                nodes = attempt(rt)
-                if nodes is not None:
-                    placements[rt.sequence] = nodes
-                    chosen.append(rt)
-                    if consumes:
-                        extra -= rt.spec.gpus
-                continue
-            nodes = attempt(rt)
-            if nodes is not None:
-                placements[rt.sequence] = nodes
-                chosen.append(rt)
-            elif policy.strict_order:
-                if not self.backfill:
-                    break
-                shadow, extra = self._backfill_window(rt, chosen, faults, t)
-        return placements
+        if policy.lookahead_k is not None:
+            self._lookahead_place(admission, chosen, placements, faults)
+        else:
+            self._walk(admission, chosen, take, faults, t)
+        admitted, evicted = self._changes(running, chosen)
+        return admitted, evicted, placements
 
     # ------------------------------------------------------------ the sweep
     def run(self) -> ClusterReport:
         horizon = self.horizon_hours
         if horizon is None:
             self._validate_runs_to_completion()
-        elif horizon <= 0:
-            raise ValueError("horizon_hours must be positive")
         placed = self.placement is not None
-        self.policy.reset()
+        policy = self.policy
+        dynamic = policy.dynamic_priority
+        capacity = self._placed_capacity if placed else self._capacity
+        policy.reset()
         self._held.clear()
         self._tp_states.clear()
 
@@ -819,7 +885,10 @@ class ClusterScheduler:
         runtimes = [_JobRuntime(spec, i) for i, spec in enumerate(self.jobs)]
         pending = sorted(runtimes, key=lambda rt: (rt.spec.submit_hour, rt.sequence))
         pending_index = 0
-        in_system: list[_JobRuntime] = []
+        # Every in-system job is in exactly one of the two lists: ``running``
+        # holds the allocated jobs, ``queue`` the rest in policy-key order.
+        running: list[_JobRuntime] = []
+        queue: list[_JobRuntime] = []
         unfinished = len(runtimes)
 
         intervals = self.timeline.intervals
@@ -831,12 +900,23 @@ class ClusterScheduler:
         empty: frozenset[int] = frozenset()
         faults: frozenset[int] = intervals[0].nodes if intervals else empty
 
+        def enqueue(rt: _JobRuntime) -> None:
+            """File an unallocated job at its policy key.
+
+            A static key cannot move while the job waits (its remaining work
+            and allocation flag are frozen), so it is computed once, here;
+            dynamic-priority queues are re-keyed at every event instead.
+            """
+            rt.key = self._runtime_key(rt)
+            bisect.insort(queue, rt, key=_by_key)
+
         def settle_completions(now: float) -> None:
-            """Mark allocated jobs whose work and restart debt are both done."""
-            nonlocal unfinished, in_system
+            """Mark running jobs whose work and restart debt are both done."""
+            nonlocal unfinished, running
             released: set[int] = set()
-            for rt in in_system:
-                if rt.allocated and rt.restart_debt <= _EPS and rt.remaining_work <= _EPS:
+            before = unfinished
+            for rt in running:
+                if rt.restart_debt <= _EPS and rt.remaining_work <= _EPS:
                     rt.restart_debt = 0.0
                     rt.remaining_work = 0.0
                     rt.completion = now
@@ -846,7 +926,8 @@ class ClusterScheduler:
                     released |= rt.nodes
                     rt.nodes = frozenset()
                     unfinished -= 1
-            in_system = [rt for rt in in_system if rt.in_system]
+            if unfinished != before:
+                running = [rt for rt in running if rt.in_system]
             if placed:
                 self._release_nodes(frozenset(released))
 
@@ -861,16 +942,17 @@ class ClusterScheduler:
                 t_next = interval_ends[interval_index]
             if pending_index < len(pending):
                 t_next = min(t_next, pending[pending_index].spec.submit_hour)
-            dynamic = self.policy.dynamic_priority
-            for rt in in_system:
-                if dynamic and rt.restart_debt <= _EPS:
+            if dynamic:
+                for rt in (*running, *queue):
+                    if rt.restart_debt > _EPS:
+                        # Jobs paying restart debt change neither clock, and
+                        # the debt pay-off is an event of its own.
+                        continue
                     # Dynamic-priority policies (Gittins) drift between
                     # queues as attained service / waiting time accumulate;
                     # wake exactly at the next crossing so the boundary
-                    # re-sort never misses a demotion or promotion.  Jobs
-                    # paying restart debt change neither clock, and the
-                    # debt pay-off is an event of its own.
-                    change = self.policy.next_priority_change_hours(
+                    # re-sort never misses a demotion or promotion.
+                    change = policy.next_priority_change_hours(
                         rt.spec,
                         rt.remaining_work,
                         rt.sequence,
@@ -880,8 +962,7 @@ class ClusterScheduler:
                     )
                     if change is not None and change > _EPS:
                         t_next = min(t_next, t + change)
-                if not rt.allocated:
-                    continue
+            for rt in running:
                 if rt.restart_debt > _EPS:
                     t_next = min(t_next, t + rt.restart_debt)
                 elif rt.remaining_work < math.inf:
@@ -898,10 +979,10 @@ class ClusterScheduler:
             # --------------------------------------------------- accrue time
             dt = t_next - t
             if dt > 0:
-                for rt in in_system:
-                    if not rt.allocated:
-                        rt.waiting += dt
-                    elif rt.restart_debt > _EPS:
+                for rt in queue:
+                    rt.waiting += dt
+                for rt in running:
+                    if rt.restart_debt > _EPS:
                         rt.restart_debt = max(0.0, rt.restart_debt - dt)
                         rt.restart_time += dt
                     else:
@@ -936,7 +1017,7 @@ class ClusterScheduler:
             ):
                 rt = pending[pending_index]
                 rt.in_system = True
-                in_system.append(rt)
+                enqueue(rt)
                 pending_index += 1
 
             # --------------------------------------------------- completions
@@ -948,97 +1029,94 @@ class ClusterScheduler:
                 # direct hit costs half a checkpoint interval plus the
                 # restart overhead, and the job's nodes are released.
                 fault_events += 1
-                killed = 0
                 released: set[int] = set()
-                for rt in in_system:
-                    if not rt.allocated:
-                        continue
+                survivors: list[_JobRuntime] = []
+                for rt in running:
                     hits = len(rt.nodes & new_faults)
-                    if hits:
-                        spec = rt.spec
-                        debt = hits * (
-                            spec.checkpoint_interval_hours / 2.0
-                            + spec.restart_overhead_hours
-                        )
-                        rt.impacting_faults += hits
-                        rt.restart_debt += debt
-                        rt.restart_charged += debt
-                        rt.allocated = False
-                        released |= rt.nodes
-                        rt.nodes = frozenset()
-                        killed += 1
+                    if not hits:
+                        survivors.append(rt)
+                        continue
+                    spec = rt.spec
+                    debt = hits * (
+                        spec.checkpoint_interval_hours / 2.0
+                        + spec.restart_overhead_hours
+                    )
+                    rt.impacting_faults += hits
+                    rt.restart_debt += debt
+                    rt.restart_charged += debt
+                    rt.allocated = False
+                    released |= rt.nodes
+                    rt.nodes = frozenset()
+                    enqueue(rt)
+                killed = len(running) - len(survivors)
+                running = survivors
                 jobs_killed += killed
                 max_blast_radius = max(max_blast_radius, killed)
                 self._release_nodes(frozenset(released))
 
             # -------------------------------------------------- reallocation
+            if dynamic:
+                # Waiting and attained service move dynamic keys: re-key and
+                # re-sort the whole queue at every event.
+                for rt in queue:
+                    rt.key = self._runtime_key(rt)
+                queue.sort(key=_by_key)
             if placed:
-                placements = self._select_placed(in_system, faults, t)
-                for rt in in_system:
-                    now_allocated = rt.sequence in placements
-                    new_nodes = placements.get(rt.sequence, frozenset())
-                    # Policy pressure moves placed jobs (fault hits
-                    # released their victims above): eviction and
-                    # migration both checkpoint and pay the restart
-                    # overhead on resume.  A preemptive reshuffle that
-                    # leaves a job no room *anywhere* after a capacity
-                    # drop is a squeeze, not a preemption -- it waits
-                    # uncharged, matching the expected-value engine.
-                    if (
-                        rt.allocated
-                        and (not now_allocated or new_nodes != rt.nodes)
-                        and (
-                            now_allocated
-                            or rt.spec.gpus
-                            <= self._placed_capacity(faults, rt.spec.tp_size)
-                        )
-                    ):
+                admitted, evicted, placements = self._select_placed(
+                    running, queue, faults, t
+                )
+                for rt in running:
+                    # Policy pressure moves placed jobs (fault hits released
+                    # their victims above): migration checkpoints and pays
+                    # the restart overhead on resume, like eviction below.
+                    nodes = placements.get(rt.sequence)
+                    if nodes is not None and nodes != rt.nodes:
                         rt.preemptions += 1
                         rt.restart_debt += rt.spec.restart_overhead_hours
                         rt.restart_charged += rt.spec.restart_overhead_hours
-                    if now_allocated and rt.first_start is None:
-                        rt.first_start = t
-                    rt.allocated = now_allocated
-                    rt.nodes = new_nodes
+                        rt.nodes = nodes
+                for rt in admitted:
+                    rt.nodes = placements[rt.sequence]
             else:
-                selected = self._select(in_system, faults, t)
-                for rt in in_system:
-                    now_allocated = rt.sequence in selected
-                    # Classify the eviction per job, independent of
-                    # whether a fault boundary shares the timestamp: a
-                    # job the current capacity could not host at all
-                    # just waits (matching the single-job goodput
-                    # accounting), while a job that still fits but lost
-                    # its slot to higher-priority work was preempted --
-                    # it checkpoints on the way out and pays the
-                    # restart overhead when it resumes.
-                    if (
-                        rt.allocated
-                        and not now_allocated
-                        and rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size)
-                    ):
-                        rt.preemptions += 1
-                        rt.restart_debt += rt.spec.restart_overhead_hours
-                        rt.restart_charged += rt.spec.restart_overhead_hours
-                    if now_allocated and rt.first_start is None:
-                        rt.first_start = t
-                    rt.allocated = now_allocated
+                admitted, evicted = self._select(running, queue, faults, t)
+            for rt in evicted:
+                # Classify the eviction per job, independent of whether a
+                # fault boundary shares the timestamp: a job the current
+                # capacity could not host at all just waits (matching the
+                # single-job goodput accounting; in placed mode a
+                # preemptive reshuffle that leaves a job no room *anywhere*
+                # is a squeeze, not a preemption), while a job that still
+                # fits but lost its slot to higher-priority work was
+                # preempted -- it checkpoints on the way out and pays the
+                # restart overhead when it resumes.
+                if rt.spec.gpus <= capacity(faults, rt.spec.tp_size):
+                    rt.preemptions += 1
+                    rt.restart_debt += rt.spec.restart_overhead_hours
+                    rt.restart_charged += rt.spec.restart_overhead_hours
+                rt.allocated = False
+                rt.nodes = frozenset()
+                enqueue(rt)
+            for rt in admitted:
+                del queue[bisect.bisect_left(queue, rt.key, key=_by_key)]
+                if rt.first_start is None:
+                    rt.first_start = t
+                rt.allocated = True
+            if evicted or admitted:
+                running = [rt for rt in running if rt.allocated] + admitted
 
-                # --------------------------------------- fault restart debt
-                if new_faults:
-                    arrivals = len(new_faults)
-                    for rt in in_system:
-                        if not rt.allocated:
-                            continue
-                        spec = rt.spec
-                        expected_hits = arrivals * spec.gpus / self.total_gpus
-                        debt = expected_hits * (
-                            spec.checkpoint_interval_hours / 2.0
-                            + spec.restart_overhead_hours
-                        )
-                        rt.impacting_faults += expected_hits
-                        rt.restart_debt += debt
-                        rt.restart_charged += debt
+            # ------------------------------------------- fault restart debt
+            if new_faults and not placed:
+                arrivals = len(new_faults)
+                for rt in running:
+                    spec = rt.spec
+                    expected_hits = arrivals * spec.gpus / self.total_gpus
+                    debt = expected_hits * (
+                        spec.checkpoint_interval_hours / 2.0
+                        + spec.restart_overhead_hours
+                    )
+                    rt.impacting_faults += expected_hits
+                    rt.restart_debt += debt
+                    rt.restart_charged += debt
 
         # ------------------------------------------------------- wind down
         end_hour = t if horizon is None else horizon

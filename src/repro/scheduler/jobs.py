@@ -21,6 +21,7 @@ random workloads.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Any
@@ -48,13 +49,34 @@ def check_known_fields(cls: type[Any], data: Mapping[str, Any]) -> None:
         )
 
 
+def check_finite(obj: Any, *names: str, context: str = "") -> None:
+    """Reject NaN and infinite values of the named numeric fields of ``obj``.
+
+    NaN passes every ``<= 0`` range check, so the scheduler specs call this
+    before their range checks.  ``None`` passes: where a field allows it,
+    it is the spelling for "unbounded".
+
+    >>> check_finite(JobSpec(name="j", gpus=8, tp_size=8), "submit_hour")
+    >>> try:
+    ...     JobSpec(name="j", gpus=8, tp_size=8, work_hours=float("inf"))
+    ... except ValueError as error:
+    ...     print(error)
+    job 'j': work_hours must be finite, got inf
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{context}{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One training job in a scheduled workload.
 
     ``work_hours`` is the productive time the job must accumulate to
     complete; ``None`` means the job never completes on its own (it runs
-    until the simulation horizon -- the single-job goodput replay).
+    until the simulation horizon -- the single-job goodput replay).  Every
+    float field must be finite.
 
     >>> job = JobSpec(name="llama-pretrain", gpus=2560, tp_size=32,
     ...               work_hours=72.0, submit_hour=6.0)
@@ -84,6 +106,14 @@ class JobSpec:
                 f"job {self.name!r}: gpus ({self.gpus}) must be a multiple of "
                 f"tp_size ({self.tp_size})"
             )
+        check_finite(
+            self,
+            "work_hours",
+            "submit_hour",
+            "checkpoint_interval_hours",
+            "restart_overhead_hours",
+            context=f"job {self.name!r}: ",
+        )
         if self.work_hours is not None and self.work_hours <= 0:
             raise ValueError(f"job {self.name!r}: work_hours must be positive")
         if self.submit_hour < 0:
@@ -204,4 +234,4 @@ class JobReport:
         return data
 
 
-__all__ = ["JobReport", "JobSpec", "check_known_fields"]
+__all__ = ["JobReport", "JobSpec", "check_finite", "check_known_fields"]

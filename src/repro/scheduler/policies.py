@@ -16,8 +16,10 @@ hold an allocation.  It does so through the knobs the engine consumes:
   it (classic head-of-line FIFO) or the scheduler may skip over it and
   backfill smaller jobs.
 * ``dynamic_priority`` -- the key drifts as attained service / waiting time
-  accumulate, so the engine schedules wake-ups at the exact crossings
-  (:meth:`SchedulingPolicy.next_priority_change_hours`).
+  accumulate, so the engine re-keys every queued job at every event and
+  schedules wake-ups at the exact crossings
+  (:meth:`SchedulingPolicy.next_priority_change_hours`).  Without the flag
+  the engine keys a queued job once, when it enters the queue.
 * ``lookahead_k`` -- selection runs a k-job look-ahead over the queue head,
   scoring each fitting candidate with
   :meth:`SchedulingPolicy.lookahead_score` instead of a plain priority walk.
@@ -63,7 +65,11 @@ class SchedulingPolicy(abc.ABC):
     #: Preemption mode ``policy_by_name(..., preemptive=None)`` applies.
     default_preemptive: bool = False
     #: Whether keys drift with attained service / waiting time, requiring
-    #: engine wake-ups at :meth:`next_priority_change_hours` crossings.
+    #: engine wake-ups at :meth:`next_priority_change_hours` crossings.  A
+    #: policy whose :meth:`runtime_key` reads ``attained_hours`` or
+    #: ``waiting_hours`` must set it: without it the engine computes a
+    #: queued job's key once, when the job enters the queue, and keeps the
+    #: queue sorted by those stored keys.
     dynamic_priority: bool = False
     #: Look-ahead window size; ``None`` keeps the plain priority walk.
     lookahead_k: int | None = None
@@ -98,6 +104,12 @@ class SchedulingPolicy(abc.ABC):
         bonus) override it.  ``attained_hours`` is cumulative productive time,
         ``waiting_hours`` cumulative queued time, ``allocated`` whether the
         job currently holds an allocation.
+
+        Contract: unless the policy sets ``dynamic_priority``, the key may
+        read only the spec, ``remaining_work_hours``, ``sequence`` and
+        ``allocated`` -- the inputs frozen while a job waits -- because the
+        engine keys a queued job once, when it enters the queue.  Running
+        jobs are re-keyed at every event.
         """
         return self.priority_key(job, remaining_work_hours, sequence)
 

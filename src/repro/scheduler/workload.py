@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.scheduler.jobs import JobSpec, check_known_fields
+from repro.scheduler.jobs import JobSpec, check_finite, check_known_fields
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,16 @@ class WorkloadConfig:
             raise ValueError("tp_size must be positive")
         if self.max_gpus < self.tp_size:
             raise ValueError("max_gpus must be at least one TP group")
+        check_finite(
+            self,
+            "mean_interarrival_hours",
+            "median_tp_groups",
+            "sigma_tp_groups",
+            "median_work_hours",
+            "sigma_work_hours",
+            "checkpoint_interval_hours",
+            "restart_overhead_hours",
+        )
         if self.mean_interarrival_hours < 0:
             raise ValueError("mean_interarrival_hours must be non-negative")
         if self.median_tp_groups <= 0 or self.median_work_hours <= 0:

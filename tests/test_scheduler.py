@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SchedulerSpec
 from repro.faults.trace import FaultEvent, FaultTrace
 from repro.hbd import BigSwitchHBD, InfiniteHBDArchitecture, NVLHBD
 from repro.scheduler import (
@@ -80,6 +81,74 @@ class TestJobSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown field"):
             JobSpec.from_dict({"name": "a", "gpus": 4, "tp_size": 4, "gpu": 4})
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteInputsRejected:
+    """NaN passes every ``<= 0`` check, so each float field checks finiteness."""
+
+    @pytest.mark.parametrize(
+        "field",
+        ["work_hours", "submit_hour", "checkpoint_interval_hours", "restart_overhead_hours"],
+    )
+    def test_job_spec(self, field):
+        with pytest.raises(ValueError, match=f"job 'a': {field} must be finite"):
+            JobSpec(name="a", gpus=4, tp_size=4, **{field: NAN})
+
+    def test_job_spec_rejects_infinite_work(self):
+        # ``None`` is the spelling for unbounded work, not ``inf``.
+        with pytest.raises(ValueError, match="work_hours must be finite"):
+            JobSpec(name="a", gpus=4, tp_size=4, work_hours=INF)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "mean_interarrival_hours",
+            "median_tp_groups",
+            "sigma_tp_groups",
+            "median_work_hours",
+            "sigma_work_hours",
+            "checkpoint_interval_hours",
+            "restart_overhead_hours",
+        ],
+    )
+    def test_workload_config(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WorkloadConfig(**{field: NAN})
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "horizon_hours",
+            "gittins_threshold_gpu_hours",
+            "gittins_starve_limit",
+            "optimizer_horizon_hours",
+            "optimizer_stability_bonus",
+        ],
+    )
+    def test_scheduler_spec(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SchedulerSpec(**{field: NAN})
+
+    @pytest.mark.parametrize("horizon", [NAN, INF])
+    def test_cluster_scheduler_horizon(self, horizon):
+        # Rejected at construction, not after a run that reports ``nan``.
+        with pytest.raises(ValueError, match="horizon_hours must be finite"):
+            ClusterScheduler(
+                BigSwitchHBD(4),
+                quiet_trace().interval_timeline(),
+                [JobSpec(name="a", gpus=4, tp_size=4, work_hours=1.0)],
+                horizon_hours=horizon,
+            )
+
+    def test_cluster_scheduler_rejects_non_positive_horizon_at_construction(self):
+        with pytest.raises(ValueError, match="horizon_hours must be positive"):
+            ClusterScheduler(
+                BigSwitchHBD(4), quiet_trace().interval_timeline(), [], horizon_hours=0.0
+            )
 
 
 class TestPolicies:
