@@ -3,13 +3,31 @@
 Three call sites used to hand-roll the same computation (the waste-ratio CDF
 of a replay series, the fault-ratio CDF of a trace, and the duration-weighted
 exact variants the interval timeline engine added); they all route through
-:func:`empirical_cdf` now, and the duration-weighted quantiles of the
-interval engine route through :func:`weighted_quantile`.
+:func:`empirical_cdf` now, and every duration-weighted quantile (a replay's
+waste ratio per seed, a timeline's fault ratio) routes through
+:func:`weighted_quantile`.  Every sum here runs left to right
+(:func:`left_sum`), never through the interpreter's ``sum()``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+
+import numpy as np
+from numpy.typing import NDArray
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from ``0.0``.
+
+    Float totals that reach results use this, not builtin ``sum()``: CPython
+    >= 3.12 compensates ``sum()``'s float rounding, so its result depends on
+    the interpreter, while a left fold's is fixed by the order of ``values``.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def empirical_cdf(
@@ -32,7 +50,7 @@ def empirical_cdf(
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
     pairs = sorted(zip(values, weights, strict=True))
-    total = sum(weight for _, weight in pairs)
+    total = left_sum(weight for _, weight in pairs)
     if total <= 0:
         raise ValueError("total weight must be positive")
     sorted_values = [value for value, _ in pairs]
@@ -45,7 +63,9 @@ def empirical_cdf(
 
 
 def weighted_quantile(
-    values: Sequence[float], weights: Sequence[float], q: float
+    values: Sequence[float] | NDArray[np.float64],
+    weights: Sequence[float] | NDArray[np.float64],
+    q: float,
 ) -> float:
     """Quantile of a weighted empirical distribution (inverse-CDF convention).
 
@@ -55,24 +75,26 @@ def weighted_quantile(
     time units.  Empty input yields 0.0 and a zero total weight yields the
     smallest value (degenerate distributions, not errors, for callers folding
     over possibly-empty interval sets).
+
+    Pairs sort by value, then weight; the cumulative weight is a sequential
+    left fold (``np.cumsum``), so the result never depends on how the
+    interpreter's ``sum()`` rounds.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     if len(values) != len(weights):
         raise ValueError("values and weights must have the same length")
-    if any(w < 0 for w in weights):
+    value_array = np.asarray(values, dtype=np.float64)
+    weight_array = np.asarray(weights, dtype=np.float64)
+    if np.any(weight_array < 0):
         raise ValueError("weights must be non-negative")
-    if not values:
+    n = len(value_array)
+    if n == 0:
         return 0.0
-    pairs = sorted(zip(values, weights, strict=True))
-    total = sum(weight for _, weight in pairs)
+    order = np.lexsort((weight_array, value_array))
+    cumulative = np.cumsum(weight_array[order])
+    total = cumulative[-1]
     if total <= 0:
-        return pairs[0][0]
-    target = q * total
-    cumulative = 0.0
-    for value, weight in pairs:
-        cumulative += weight
-        if cumulative >= target:
-            return value
-    return pairs[-1][0]
-
+        return float(value_array[order[0]])
+    index = int(np.searchsorted(cumulative, q * total, side="left"))
+    return float(value_array[order[min(index, n - 1)]])

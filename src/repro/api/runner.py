@@ -23,7 +23,10 @@ on a single core:
 
 Capacity metrics (mean / p99 waste, supported job scale, waiting fraction)
 are exact duration-weighted quantities over the intervals -- no
-``sample_interval_hours`` dependence.
+``sample_interval_hours`` dependence.  They take one path for any seed
+count: a cell is a :class:`~repro.mc.BatchSeries` (one seed replayed through
+the scalar reference ``replay_intervals``, several through one vectorized
+``replay_batch`` pass), and every metric is read off it per seed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from repro.cache import ResultCache, content_key
 from repro.faults.timeline import IntervalTimeline
 from repro.hbd.base import HBDArchitecture
 from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
 
@@ -97,54 +100,43 @@ def _timeline_for(
 
 # ------------------------------------------------------ shared capacity cells
 #: Replayed (architecture, TP) cells of the current run, keyed by (seed trace
-#: specs, ``n_nodes``, canonical architecture spec, TP size): the base seed's
-#: ``IntervalSeries`` for one seed, the ``BatchSeries`` for several.
-#: ``waste``, ``max_job_scale`` and ``fault_waiting`` read one cell instead of
-#: each replaying it.  Unlike the timelines, a cell depends on the
-#: architecture registry, which may map a name to another plugin by the next
-#: run, so :meth:`ExperimentRunner._execute` empties it before and after
-#: every run.
+#: specs, ``n_nodes``, canonical architecture spec, TP size).  ``waste``,
+#: ``max_job_scale`` and ``fault_waiting`` read one cell instead of each
+#: replaying it.  Unlike the timelines, a cell depends on the architecture
+#: registry, which may map a name to another plugin by the next run, so
+#: :meth:`ExperimentRunner._execute` empties it before and after every run.
 _CellKey = tuple[tuple[TraceSpec, ...], int | None, str, int]
-_CELL_CACHE: dict[_CellKey, IntervalSeries | BatchSeries] = {}
+_CELL_CACHE: dict[_CellKey, BatchSeries] = {}
 
 
-def _cell_key(spec: ExperimentSpec, payload: Mapping[str, Any]) -> _CellKey:
-    return (
-        tuple(_seed_trace_specs(spec)),
+def _cell(
+    spec: ExperimentSpec, payload: Mapping[str, Any], architecture: HBDArchitecture
+) -> BatchSeries:
+    """The task's cell replayed over every seed, once per run.
+
+    One seed replays through the scalar reference ``replay_intervals``;
+    several stack into one :class:`TraceBatch` for ``replay_batch``.
+    """
+    trace_specs = _seed_trace_specs(spec)
+    key = (
+        tuple(trace_specs),
         spec.scenario.n_nodes,
         json.dumps(payload["arch"], sort_keys=True),
         payload["tp_size"],
     )
-
-
-def _cell_series(
-    spec: ExperimentSpec, payload: Mapping[str, Any], architecture: HBDArchitecture
-) -> IntervalSeries:
-    """The single-seed exact replay of the task's cell, once per run."""
-    key = _cell_key(spec, payload)
     cached = _CELL_CACHE.get(key)
-    if isinstance(cached, IntervalSeries):
+    if cached is not None:
         return cached
-    timeline = _timeline_for(spec.scenario.trace, spec.scenario.n_nodes)
-    series = replay_intervals(architecture, timeline, payload["tp_size"])
-    _CELL_CACHE[key] = series
-    return series
-
-
-def _cell_batch_series(
-    spec: ExperimentSpec, payload: Mapping[str, Any], architecture: HBDArchitecture
-) -> BatchSeries:
-    """The batched replay of the task's cell over every seed, once per run."""
-    key = _cell_key(spec, payload)
-    cached = _CELL_CACHE.get(key)
-    if isinstance(cached, BatchSeries):
-        return cached
-    trace_specs = _seed_trace_specs(spec)
     timelines = [_timeline_for(ts, spec.scenario.n_nodes) for ts in trace_specs]
-    batch = TraceBatch.from_timelines(timelines, seeds=[ts.seed for ts in trace_specs])
-    batch_series = replay_batch(architecture, batch, payload["tp_size"])
-    _CELL_CACHE[key] = batch_series
-    return batch_series
+    seeds = [ts.seed for ts in trace_specs]
+    if len(timelines) == 1:
+        series = replay_intervals(architecture, timelines[0], payload["tp_size"])
+        cell = BatchSeries.from_interval_series([series], seeds=seeds)
+    else:
+        batch = TraceBatch.from_timelines(timelines, seeds=seeds)
+        cell = replay_batch(architecture, batch, payload["tp_size"])
+    _CELL_CACHE[key] = cell
+    return cell
 
 
 # ------------------------------------------------------------ experiment tasks
@@ -179,7 +171,10 @@ def _aggregate_seed_metrics(
     single-seed value (and type -- cluster constants like ``total_gpus`` stay
     ints) when it does not.  Non-numeric metrics (policy names, flags) keep
     the base seed's value.  A ``num_seeds`` metric records the seed count.
+    A lone seed's dict comes back as a copy, with none of these columns.
     """
+    if len(per_seed) == 1:
+        return dict(per_seed[0])
     aggregated: dict[str, Any] = {}
     for key in per_seed[0]:
         values = [metrics[key] for metrics in per_seed]
@@ -197,21 +192,19 @@ def _aggregate_seed_metrics(
     return aggregated
 
 
-def _run_capacity_multi_seed(
-    spec: ExperimentSpec, payload: Mapping[str, Any]
-) -> list[dict[str, Any]]:
-    """Batched Monte-Carlo variant of the capacity experiments.
+def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """waste / max_job_scale / fault_waiting: exact interval-replay experiments.
 
-    All ``num_seeds`` timelines stack into one :class:`TraceBatch` and replay
-    in a single vectorized pass; per-seed values are bit-for-bit the scalar
-    path's, the emitted series is the base seed's.
+    Every aggregate is duration-weighted and exact, independent of any
+    sampling grid, and computed per seed off the shared cell; the emitted
+    series is the base seed's piecewise-constant step function.
     """
     scenario = spec.scenario
     experiment = payload["experiment"]
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    batch_series = _cell_batch_series(spec, payload, architecture)
+    batch_series = _cell(spec, payload, architecture)
     base = batch_series.series_for_seed(0)
 
     per_seed: list[dict[str, Any]]
@@ -266,56 +259,6 @@ def _run_capacity_multi_seed(
     ]
 
 
-def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
-    """waste / max_job_scale / fault_waiting: exact interval-replay experiments."""
-    if spec.num_seeds > 1:
-        return _run_capacity_multi_seed(spec, payload)
-    scenario = spec.scenario
-    experiment = payload["experiment"]
-    arch_spec = ArchitectureSpec.from_dict(payload["arch"])
-    tp_size = payload["tp_size"]
-    architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    series = _cell_series(spec, payload, architecture)
-
-    if experiment == "waste":
-        # Duration-weighted exact aggregates -- independent of any sampling
-        # grid; the emitted series is the piecewise-constant step function.
-        metrics: dict[str, Any] = {
-            "mean_waste_ratio": series.mean_waste_ratio,
-            "p99_waste_ratio": series.p99_waste_ratio,
-            "min_usable_gpus": series.min_usable_gpus,
-            "total_gpus": series.total_gpus,
-        }
-        out_series = {
-            "times_days": series.times_days,
-            "durations_hours": series.durations_hours,
-            "waste_ratios": series.waste_ratios,
-            "usable_gpus": series.usable_gpus,
-        }
-    elif experiment == "max_job_scale":
-        metrics = {
-            "max_job_scale": series.supported_job_scale(scenario.availability),
-            "availability": scenario.availability,
-            "total_gpus": series.total_gpus,
-        }
-        out_series = {}
-    else:  # fault_waiting
-        options = spec.options_for("fault_waiting")
-        job_scales = [int(s) for s in options.get("job_scales", [scenario.job_gpus])]
-        rates = [series.fault_waiting_rate(scale) for scale in job_scales]
-        metrics = {
-            "fault_waiting_rate": series.fault_waiting_rate(scenario.job_gpus),
-            "job_gpus": scenario.job_gpus,
-        }
-        out_series = {"job_scales": job_scales, "waiting_rates": rates}
-
-    return [
-        ExperimentResult.of(
-            experiment, scenario.name, architecture.name, tp_size, metrics, out_series
-        ).to_dict()
-    ]
-
-
 def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     scenario = spec.scenario
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
@@ -343,7 +286,7 @@ def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[
             "total_hours": report.total_hours,
             "job_gpus": config.job_gpus,
         })
-    metrics = per_seed[0] if len(per_seed) == 1 else _aggregate_seed_metrics(per_seed)
+    metrics = _aggregate_seed_metrics(per_seed)
     return [
         ExperimentResult.of(
             "goodput", scenario.name, architecture.name, tp_size, metrics
@@ -411,7 +354,7 @@ def _run_schedule_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
                 "productive_hours": [job.productive_hours for job in report.jobs],
                 "finish_time_fairness": report.finish_time_fairness(),
             }
-    metrics = per_seed[0] if len(per_seed) == 1 else _aggregate_seed_metrics(per_seed)
+    metrics = _aggregate_seed_metrics(per_seed)
     return [
         ExperimentResult.of(
             "schedule", scenario.name, architecture.name, tp_size, metrics, series
@@ -480,9 +423,7 @@ def _run_blast_radius_task(
                     "cluster_goodput": report.cluster_goodput,
                     "total_gpus": report.total_gpus,
                 })
-            metrics = (
-                per_seed[0] if len(per_seed) == 1 else _aggregate_seed_metrics(per_seed)
-            )
+            metrics = _aggregate_seed_metrics(per_seed)
             rows.append(
                 ExperimentResult.of(
                     "blast_radius", scenario.name, architecture.name, tp_size, metrics
@@ -652,7 +593,7 @@ class ExperimentRunner:
     the architecture-sweep experiments over ``N`` trace seeds: the capacity
     experiments replay all seeds in one vectorized :mod:`repro.mc` pass, and
     every numeric metric grows ``*_mean`` / ``*_stddev`` / ``*_ci95``
-    columns.  ``num_seeds=1`` (the default) is the exact single-seed path.
+    columns.  ``num_seeds=1`` (the default) adds no columns.
 
     ``ExperimentRunner(spec, cache="memory"|"disk")`` (or ``spec.cache``)
     consults the content-addressed result store (:mod:`repro.cache`) before

@@ -99,7 +99,7 @@ class LintConfig:
         "repro.scheduler.workload",
     )
     #: Modules allowed to accumulate floats bare (D004) because they *are* the
-    #: shared duration-weighted helpers (``empirical_cdf``, ``weighted_quantile``).
+    #: shared accumulators (``empirical_cdf``, ``weighted_quantile``, ``left_sum``).
     accumulation_allow_modules: tuple[str, ...] = ("repro.analysis.cdf",)
     #: Rule codes disabled globally.
     ignore: tuple[str, ...] = ()

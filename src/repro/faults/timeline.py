@@ -32,7 +32,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.analysis.cdf import weighted_quantile
+from repro.analysis.cdf import left_sum, weighted_quantile
 from repro.faults.events import (
     ColumnarIntervals,
     columnar_event_log,
@@ -192,7 +192,7 @@ class IntervalTimeline:
         total = self.duration_hours
         if total == 0:
             return 0.0
-        weighted = sum(
+        weighted = left_sum(
             len(interval.nodes) * interval.duration_hours for interval in self.intervals
         )
         return weighted / (self.n_nodes * total)

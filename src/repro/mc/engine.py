@@ -22,15 +22,20 @@ back into per-seed interval arrays.  Capacity then comes from one of:
   breakpoints) are cuts, and the segments between consecutive cuts hold the
   differences of their healthy-before counts.
 
-Every per-seed result is **bit-for-bit** the scalar
-``replay_intervals`` output for that seed: interval boundaries are the same
-floats the scalar sweep produces, integer capacity arithmetic is exact, and
-the per-seed aggregates replicate the scalar left-fold summations with
-``np.cumsum`` (sequential, unlike pairwise ``np.sum``) and the exact
-quantile / job-scale walks with lexsort + ``searchsorted``.  Any other
+Every per-seed series is **bit-for-bit** the scalar ``replay_intervals``
+output for that seed: interval boundaries are the same floats the scalar
+sweep produces and integer capacity arithmetic is exact.  Any other
 architecture without a count decomposition (a plugin) falls back to the
 exact scalar replay per seed, so ``replay_batch`` is total over every
 registry.
+
+:class:`BatchSeries` is the one implementation of the capacity aggregates
+(mean / p99 waste, minimum usable GPUs, supported job scale, fault-waiting
+rate) for one seed or many; a scalar
+:class:`~repro.simulation.cluster.IntervalSeries` answers them as a one-seed
+batch.  Sums run left to right in interval order (``np.cumsum``, not the
+pairwise ``np.sum`` or the interpreter's ``sum()``), and the quantile and
+job-scale walks sort with lexsort and stop with ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.analysis.cdf import weighted_quantile
 from repro.hbd.base import HBDArchitecture
 from repro.hbd.infinitehbd import InfiniteHBDArchitecture
 from repro.mc.batch import TraceBatch
@@ -135,33 +141,18 @@ def _usable_after_events(
     return usable
 
 
-def _weighted_quantile_cols(
-    values: _FloatArray, weights: _FloatArray, q: float
-) -> float:
-    """Vectorized twin of :func:`repro.analysis.cdf.weighted_quantile`."""
-    n = len(values)
-    if n == 0:
-        return 0.0
-    order = np.lexsort((weights, values))
-    values_sorted = values[order]
-    cumulative = np.cumsum(weights[order])
-    total = cumulative[-1]
-    if total <= 0:
-        return float(values_sorted[0])
-    index = int(np.searchsorted(cumulative, q * total, side="left"))
-    return float(values_sorted[min(index, n - 1)])
-
-
 @dataclass(frozen=True, eq=False)
 class BatchSeries:
     """Per-seed interval replay results, stacked (the multi-seed IntervalSeries).
 
     The five per-interval columns concatenate every seed's series;
     ``interval_offsets[i]:interval_offsets[i+1]`` is seed ``i``'s slice.
-    Aggregate methods return one value per seed, each bit-for-bit what the
-    corresponding :class:`~repro.simulation.cluster.IntervalSeries` property
-    computes; :meth:`series_for_seed` materialises a seed's actual
-    ``IntervalSeries`` for direct comparison or downstream scalar use.
+    Aggregate methods return one value per seed and are the only
+    implementation of each aggregate: the matching
+    :class:`~repro.simulation.cluster.IntervalSeries` property is element 0
+    of the method on a one-seed batch.  :meth:`series_for_seed`
+    materialises a seed's actual ``IntervalSeries`` for direct comparison or
+    downstream scalar use.
     """
 
     starts_hours: _FloatArray
@@ -184,7 +175,7 @@ class BatchSeries:
     def from_interval_series(
         cls, series: Sequence[IntervalSeries], seeds: Sequence[int] | None = None
     ) -> BatchSeries:
-        """Stack scalar per-seed series (the exact-fallback constructor)."""
+        """Stack scalar per-seed series (the exact fallback and the one-seed view)."""
         if not series:
             raise ValueError("at least one series is required")
         total_gpus = series[0].total_gpus
@@ -239,7 +230,7 @@ class BatchSeries:
             weighted = self.waste_ratios[lo:hi] * (
                 self.ends_hours[lo:hi] - self.starts_hours[lo:hi]
             )
-            # cumsum is a sequential left fold -- bit-for-bit the scalar sum().
+            # cumsum is a sequential left fold in interval order.
             result.append(float(np.cumsum(weighted)[-1] / total))
         return result
 
@@ -251,9 +242,7 @@ class BatchSeries:
         for index in range(self.n_seeds):
             lo, hi = self._bounds(index)
             durations = self.ends_hours[lo:hi] - self.starts_hours[lo:hi]
-            result.append(
-                _weighted_quantile_cols(self.waste_ratios[lo:hi], durations, q)
-            )
+            result.append(weighted_quantile(self.waste_ratios[lo:hi], durations, q))
         return result
 
     def p99_waste_ratios(self) -> list[float]:
@@ -280,6 +269,9 @@ class BatchSeries:
             if availability == 1.0:
                 result.append(int(usable.min()))
                 continue
+            # Smallest usable level u with P(usable <= u) > 1 - availability:
+            # the job can be any scale up to u and still wait at most
+            # 1 - availability.
             durations = self.ends_hours[lo:hi] - self.starts_hours[lo:hi]
             order = np.lexsort((durations, usable))
             usable_sorted = usable[order]

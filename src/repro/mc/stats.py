@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+from repro.analysis.cdf import left_sum
+
 
 @dataclass(frozen=True)
 class SeedStats:
@@ -29,10 +31,10 @@ def seed_stats(values: Sequence[float]) -> SeedStats:
     n = len(values)
     if n == 0:
         raise ValueError("at least one value is required")
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n == 1:
         return SeedStats(mean=mean, stddev=0.0, ci95=0.0, n_seeds=1)
-    variance = sum((value - mean) ** 2 for value in values) / (n - 1)
+    variance = left_sum((value - mean) ** 2 for value in values) / (n - 1)
     stddev = math.sqrt(variance)
     return SeedStats(
         mean=mean, stddev=stddev, ci95=1.96 * stddev / math.sqrt(n), n_seeds=n

@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.analysis.cdf import left_sum
 from repro.scheduler.jobs import JobReport
 
 
@@ -133,11 +134,11 @@ class ClusterReport:
     # --------------------------------------------------------------- goodput
     @property
     def productive_gpu_hours(self) -> float:
-        return sum(job.productive_hours * job.gpus for job in self.jobs)
+        return left_sum(job.productive_hours * job.gpus for job in self.jobs)
 
     @property
     def restart_gpu_hours(self) -> float:
-        return sum(job.restart_hours * job.gpus for job in self.jobs)
+        return left_sum(job.restart_hours * job.gpus for job in self.jobs)
 
     @property
     def cluster_goodput(self) -> float:
@@ -186,8 +187,8 @@ class ClusterReport:
         rhos = self.finish_time_fairness()
         if not rhos:
             return 0.0
-        total = sum(rhos)
-        squares = sum(rho * rho for rho in rhos)
+        total = left_sum(rhos)
+        squares = left_sum(rho * rho for rho in rhos)
         return (total * total) / (len(rhos) * squares)
 
     # ---------------------------------------------------------- blast radius

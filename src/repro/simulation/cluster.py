@@ -10,17 +10,23 @@ duration-weighted quantity over the intervals (:class:`IntervalSeries`).
 
 :func:`replay_intervals` is the one scalar reference: the batched
 Monte-Carlo passes (:func:`repro.mc.replay_batch`) are tested bit for bit
-against it.
+against it.  The capacity aggregates have one implementation,
+:class:`repro.mc.BatchSeries`; an :class:`IntervalSeries` reads each of them
+off a one-seed batch of itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.cdf import empirical_cdf, weighted_quantile
+from repro.analysis.cdf import empirical_cdf
 from repro.faults.timeline import IntervalTimeline
 from repro.faults.trace import FaultTrace, HOURS_PER_DAY
 from repro.hbd.base import HBDArchitecture, WasteBreakdown
+
+if TYPE_CHECKING:
+    from repro.mc.engine import BatchSeries
 
 
 @dataclass
@@ -29,7 +35,9 @@ class IntervalSeries:
 
     One entry per maximal constant-fault-set interval; every aggregate is
     duration-weighted, so the numbers are exact properties of the trace and
-    architecture, independent of any sampling grid.
+    architecture, independent of any sampling grid.  The capacity aggregates
+    are element 0 of the matching :class:`repro.mc.BatchSeries` method on a
+    one-seed batch of this series, their one implementation.
     """
 
     starts_hours: list[float]
@@ -55,15 +63,17 @@ class IntervalSeries:
     def total_hours(self) -> float:
         return self.ends_hours[-1] - self.starts_hours[0] if self.starts_hours else 0.0
 
+    def _one_seed(self) -> BatchSeries:
+        """This series as a one-seed batch, whose methods compute every aggregate."""
+        # repro.mc.engine imports this module, so import it here.
+        from repro.mc.engine import BatchSeries
+
+        return BatchSeries.from_interval_series([self])
+
     @property
     def mean_waste_ratio(self) -> float:
         """Exact time-averaged waste ratio."""
-        total = self.total_hours
-        if total == 0:
-            return 0.0
-        return sum(
-            w * d for w, d in zip(self.waste_ratios, self.durations_hours, strict=True)
-        ) / total
+        return self._one_seed().mean_waste_ratios()[0]
 
     @property
     def p99_waste_ratio(self) -> float:
@@ -75,13 +85,11 @@ class IntervalSeries:
 
     @property
     def min_usable_gpus(self) -> int:
-        if not self.usable_gpus:
-            return 0
-        return int(min(self.usable_gpus))
+        return self._one_seed().min_usable_gpus()[0]
 
     def waste_ratio_quantile(self, q: float) -> float:
         """Exact duration-weighted quantile (``q`` in [0, 1]) of the waste ratio."""
-        return weighted_quantile(self.waste_ratios, self.durations_hours, q)
+        return self._one_seed().waste_ratio_quantiles(q)[0]
 
     def waste_ratio_cdf(self) -> tuple[list[float], list[float]]:
         """Exact duration-weighted waste-ratio CDF -- Figures 13/21."""
@@ -91,15 +99,7 @@ class IntervalSeries:
 
     def fault_waiting_rate(self, job_gpus: int) -> float:
         """Exact fraction of time a job of ``job_gpus`` GPUs cannot run."""
-        total = self.total_hours
-        if total == 0:
-            return 0.0
-        waiting = sum(
-            d
-            for usable, d in zip(self.usable_gpus, self.durations_hours, strict=True)
-            if usable < job_gpus
-        )
-        return waiting / total
+        return self._one_seed().fault_waiting_rates(job_gpus)[0]
 
     def supported_job_scale(self, availability: float = 1.0) -> int:
         """Largest job scale available at least ``availability`` of the time.
@@ -109,23 +109,7 @@ class IntervalSeries:
         trace.  ``availability=1.0`` (Figure 15) is the minimum over all
         intervals -- short dips a sampling grid would miss count here.
         """
-        if not self.usable_gpus:
-            return 0
-        if not 0.0 < availability <= 1.0:
-            raise ValueError("availability must be in (0, 1]")
-        if availability == 1.0:
-            return self.min_usable_gpus
-        # Smallest usable level u with P(usable <= u) > 1 - availability: the
-        # job can be any scale up to u and still wait at most 1 - availability.
-        pairs = sorted(zip(self.usable_gpus, self.durations_hours, strict=True))
-        total = self.total_hours
-        budget = (1.0 - availability) * total
-        cumulative = 0.0
-        for usable, duration in pairs:
-            cumulative += duration
-            if cumulative > budget * (1.0 + 1e-12):
-                return int(usable)
-        return int(pairs[-1][0])
+        return self._one_seed().supported_job_scales(availability)[0]
 
     def mean_waste_in_window(self, start_day: float, end_day: float) -> float:
         """Duration-weighted mean waste ratio over ``[start_day, end_day)``."""

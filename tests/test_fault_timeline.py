@@ -1,9 +1,10 @@
 """Tests for the event-driven fault timeline engine and exact interval metrics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.cdf import empirical_cdf, weighted_quantile
+from repro.analysis.cdf import empirical_cdf, left_sum, weighted_quantile
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.timeline import FaultInterval, IntervalTimeline, sweep_intervals
@@ -200,7 +201,22 @@ class TestWeightedQuantile:
             weighted_quantile([1.0], [1.0], 1.5)
         with pytest.raises(ValueError):
             weighted_quantile([1.0, 2.0], [1.0], 0.5)
+        with pytest.raises(ValueError):
+            weighted_quantile([1.0, 2.0], [1.0, -1.0], 0.5)
         assert weighted_quantile([], [], 0.5) == 0.0
+
+    def test_accepts_arrays(self):
+        values, weights = np.array([0.2, 0.1]), np.array([1.0, 3.0])
+        assert weighted_quantile(values, weights, 0.5) == 0.1
+        assert weighted_quantile(values, weights, 0.9) == 0.2
+
+
+class TestLeftSum:
+    def test_is_a_left_fold_not_a_compensated_sum(self):
+        # CPython >= 3.12's sum() compensates this to exactly 1.0.
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        assert left_sum(iter([0.5, 0.25])) == 0.75
+        assert left_sum([]) == 0.0
 
 
 class TestEmpiricalCdf:

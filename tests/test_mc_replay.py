@@ -6,16 +6,28 @@ timeline -- through all three of its paths: the count pass (architectures
 with a fault-count decomposition), the K-hop segment pass (InfiniteHBD on a
 ring or a line, any K) and the per-seed scalar fallback, which only a
 plugin architecture without a decomposition reaches (``_PrefixHBD`` here).
+``BatchSeries`` is the one implementation of the capacity aggregates; its
+per-seed values answer to the plain-Python oracle below.
 """
 
+import builtins
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.api.runner as runner_module
+import repro.api.spec as spec_module
 from repro.api.runner import ExperimentRunner
-from repro.api.spec import ArchitectureSpec, ExperimentSpec, Scenario, TraceSpec
+from repro.api.spec import (
+    ArchitectureSpec,
+    ExperimentSpec,
+    Scenario,
+    TraceSpec,
+    WorkloadSpec,
+)
 from repro.faults.events import event_log_from_intervals
 from repro.faults.timeline import IntervalTimeline
 from repro.faults.trace import FaultEvent, FaultTrace
@@ -29,6 +41,7 @@ from repro.hbd import (
 )
 import repro.mc.engine as mc_engine
 from repro.mc import (
+    BatchSeries,
     BatchTraceConfig,
     TraceBatch,
     kernel_for,
@@ -36,7 +49,7 @@ from repro.mc import (
     sample_trace_batch,
     seed_stats,
 )
-from repro.simulation.cluster import replay_intervals
+from repro.simulation.cluster import IntervalSeries, replay_intervals
 
 
 class _PrefixHBD(HBDArchitecture):
@@ -100,6 +113,117 @@ def _assert_series_equal(got, ref):
     assert got.usable_gpus == ref.usable_gpus
     assert got.faulty_gpus == ref.faulty_gpus
     assert got.total_gpus == ref.total_gpus
+
+
+# --------------------------------------------------------------------------
+# plain-Python aggregate oracle
+# --------------------------------------------------------------------------
+# The scalar aggregate bodies IntervalSeries had before it became a view of
+# BatchSeries, kept as the reference.  Every sum is an explicit left fold in
+# interval order, so the oracle does not depend on the interpreter's sum()
+# (CPython >= 3.12 compensates its float rounding).
+def _fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _durations(series):
+    return [e - s for s, e in zip(series.starts_hours, series.ends_hours, strict=True)]
+
+
+def _total_hours(series):
+    return series.ends_hours[-1] - series.starts_hours[0] if series.starts_hours else 0.0
+
+
+def oracle_mean_waste_ratio(series):
+    total = _total_hours(series)
+    if total == 0:
+        return 0.0
+    weighted = _fold(
+        w * d for w, d in zip(series.waste_ratios, _durations(series), strict=True)
+    )
+    return weighted / total
+
+
+def oracle_weighted_quantile(values, weights, q):
+    if not values:
+        return 0.0
+    pairs = sorted(zip(values, weights, strict=True))
+    total = _fold(weight for _, weight in pairs)
+    if total <= 0:
+        return pairs[0][0]
+    target = q * total
+    cumulative = 0.0
+    for value, weight in pairs:
+        cumulative += weight
+        if cumulative >= target:
+            return value
+    return pairs[-1][0]
+
+
+def oracle_waste_ratio_quantile(series, q):
+    return oracle_weighted_quantile(series.waste_ratios, _durations(series), q)
+
+
+def oracle_min_usable_gpus(series):
+    return int(min(series.usable_gpus)) if series.usable_gpus else 0
+
+
+def oracle_fault_waiting_rate(series, job_gpus):
+    total = _total_hours(series)
+    if total == 0:
+        return 0.0
+    waiting = _fold(
+        d
+        for usable, d in zip(series.usable_gpus, _durations(series), strict=True)
+        if usable < job_gpus
+    )
+    return waiting / total
+
+
+def oracle_supported_job_scale(series, availability):
+    if not series.usable_gpus:
+        return 0
+    if availability == 1.0:
+        return oracle_min_usable_gpus(series)
+    pairs = sorted(zip(series.usable_gpus, _durations(series), strict=True))
+    budget = (1.0 - availability) * _total_hours(series)
+    cumulative = 0.0
+    for usable, duration in pairs:
+        cumulative += duration
+        if cumulative > budget * (1.0 + 1e-12):
+            return int(usable)
+    return int(pairs[-1][0])
+
+
+def _assert_aggregates_match_oracle(batch, index, ref, q, availability, job_gpus):
+    """Seed ``index`` of ``batch`` and ``ref``'s one-seed view vs the oracle."""
+    expected = (
+        oracle_mean_waste_ratio(ref),
+        oracle_waste_ratio_quantile(ref, q),
+        oracle_waste_ratio_quantile(ref, 0.99),
+        oracle_min_usable_gpus(ref),
+        oracle_supported_job_scale(ref, availability),
+        oracle_fault_waiting_rate(ref, job_gpus),
+    )
+    assert (
+        batch.mean_waste_ratios()[index],
+        batch.waste_ratio_quantiles(q)[index],
+        batch.p99_waste_ratios()[index],
+        batch.min_usable_gpus()[index],
+        batch.supported_job_scales(availability)[index],
+        batch.fault_waiting_rates(job_gpus)[index],
+    ) == expected
+    assert (
+        ref.mean_waste_ratio,
+        ref.waste_ratio_quantile(q),
+        ref.p99_waste_ratio,
+        ref.min_usable_gpus,
+        ref.supported_job_scale(availability),
+        ref.fault_waiting_rate(job_gpus),
+    ) == expected
 
 
 # --------------------------------------------------------------------------
@@ -176,17 +300,7 @@ class TestBatchedMatchesScalar:
                     architecture, batch.timeline_for_seed(index), tp_size
                 )
                 _assert_series_equal(series.series_for_seed(index), ref)
-                assert series.mean_waste_ratios()[index] == ref.mean_waste_ratio
-                assert series.p99_waste_ratios()[index] == ref.p99_waste_ratio
-                assert series.min_usable_gpus()[index] == ref.min_usable_gpus
-                assert (
-                    series.supported_job_scales(0.99)[index]
-                    == ref.supported_job_scale(0.99)
-                )
-                assert (
-                    series.fault_waiting_rates(64)[index]
-                    == ref.fault_waiting_rate(64)
-                )
+                _assert_aggregates_match_oracle(series, index, ref, 0.5, 0.99, 64)
 
     def test_infinitehbd_has_no_count_kernel(self):
         architecture = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
@@ -207,6 +321,68 @@ class TestBatchedMatchesScalar:
         for architecture in ARCHITECTURES:
             replay_batch(architecture, batch, 8)
         assert calls == ["Prefix"] * batch.n_seeds
+
+
+# One interval per entry: (duration, waste ratio, usable GPUs).  Small pools
+# give tied values and zero-length intervals; the float draws give the rest.
+interval_columns = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 24.0]), st.floats(0.0, 50.0)),
+        st.one_of(st.sampled_from([0.0, 0.125, 0.25, 1.0 / 3.0]), st.floats(0.0, 1.0)),
+        st.sampled_from([0, 16, 32, 48, 64, 128]),
+    ),
+    max_size=30,
+)
+
+
+def _series_from_columns(start_hours, columns):
+    starts, ends = [], []
+    hour = start_hours
+    for duration, _, _ in columns:
+        starts.append(hour)
+        hour += duration
+        ends.append(hour)
+    return IntervalSeries(
+        starts_hours=starts,
+        ends_hours=ends,
+        waste_ratios=[waste for _, waste, _ in columns],
+        usable_gpus=[usable for _, _, usable in columns],
+        faulty_gpus=[0] * len(columns),
+        total_gpus=128,
+    )
+
+
+class TestAggregateOracle:
+    """``BatchSeries`` aggregates vs the oracle on arbitrary interval columns."""
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1000.0), interval_columns), min_size=1, max_size=4
+        ),
+        st.one_of(st.sampled_from([0.0, 0.5, 0.99, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(
+            st.sampled_from([0.5, 0.99, 1.0]),
+            st.floats(0.0, 1.0, exclude_min=True),
+        ),
+        st.sampled_from([0, 1, 16, 40, 64, 129]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_seed_matches_the_oracle(self, seeds, q, availability, job_gpus):
+        series = [_series_from_columns(start, columns) for start, columns in seeds]
+        batch = BatchSeries.from_interval_series(series)
+        for index, ref in enumerate(series):
+            _assert_aggregates_match_oracle(batch, index, ref, q, availability, job_gpus)
+
+    def test_empty_series(self):
+        empty = _series_from_columns(0.0, [])
+        batch = BatchSeries.from_interval_series([empty, empty])
+        _assert_aggregates_match_oracle(batch, 1, empty, 0.5, 0.9, 16)
+        assert batch.mean_waste_ratios() == [0.0, 0.0]
+        assert empty.supported_job_scale(1.0) == 0
+        # BatchSeries validates first: an empty series rejects a bad
+        # availability instead of answering 0.
+        with pytest.raises(ValueError, match="availability"):
+            empty.supported_job_scale(0.0)
 
 
 class TestSegmentPass:
@@ -419,6 +595,40 @@ class TestSeedStats:
 # --------------------------------------------------------------------------
 # spec / runner plumbing
 # --------------------------------------------------------------------------
+SWEEP_EXPERIMENTS = (
+    "waste", "max_job_scale", "fault_waiting", "goodput", "schedule", "blast_radius"
+)
+
+
+def _sweep_spec(num_seeds=1, experiments=SWEEP_EXPERIMENTS):
+    """Three architectures x two TP sizes on 144 nodes over 20 days."""
+    return ExperimentSpec.of(
+        scenario=Scenario(
+            name="sweep",
+            trace=TraceSpec(days=20, seed=348),
+            architectures=(
+                ArchitectureSpec(name="InfiniteHBD(K=2)"),
+                ArchitectureSpec(name="NVL-72"),
+                ArchitectureSpec(name="TPUv4"),
+            ),
+            tp_sizes=(16, 32),
+            n_nodes=144,
+            job_gpus=256,
+            workload=WorkloadSpec(n_jobs=20, seed=3),
+        ),
+        experiments=experiments,
+        max_workers=1,
+        num_seeds=num_seeds,
+    )
+
+
+def _at_seed(spec, seed):
+    """``spec`` as a single-seed run at trace seed ``seed``."""
+    trace = dataclasses.replace(spec.scenario.trace, seed=seed)
+    scenario = dataclasses.replace(spec.scenario, trace=trace)
+    return dataclasses.replace(spec, scenario=scenario, num_seeds=1)
+
+
 def _spec(num_seeds=1, experiments=("waste",)):
     return ExperimentSpec.of(
         scenario=Scenario(
@@ -488,12 +698,32 @@ class TestRunnerMonteCarlo:
             assert stats["stddev"] == 0.0
             assert stats["n_seeds"] == 1
 
-    def test_base_seed_values_and_series_match_single_seed_run(self):
-        single = ExperimentRunner(_spec(num_seeds=1)).run()
-        multi = ExperimentRunner(_spec(num_seeds=3)).run()
-        for one, many in zip(single, multi, strict=True):
+    def test_seed_stats_and_series_match_single_seed_runs(self):
+        """Per-seed values are what single-seed runs at s, s+1, s+2 produce."""
+        spec = _sweep_spec(num_seeds=3, experiments=("waste", "max_job_scale", "fault_waiting"))
+        multi = ExperimentRunner(spec).run()
+        base_seed = spec.scenario.trace.seed
+        singles = [
+            ExperimentRunner(_at_seed(spec, base_seed + offset)).run() for offset in range(3)
+        ]
+        checked = set()
+        for index, many in enumerate(multi):
             # The emitted series is always the base (spec) seed's.
-            assert one.series == many.series
+            assert many.series == singles[0][index].series
+            for name in (
+                "mean_waste_ratio",
+                "p99_waste_ratio",
+                "min_usable_gpus",
+                "max_job_scale",
+                "fault_waiting_rate",
+            ):
+                if name not in many.metrics_dict:
+                    continue
+                stats = seed_stats([float(single[index].metric(name)) for single in singles])
+                assert many.metric(f"{name}_mean") == stats.mean
+                assert many.metric(f"{name}_stddev") == stats.stddev
+                checked.add(name)
+        assert len(checked) == 5
 
     def test_stats_table_shape(self):
         table = ExperimentRunner(_spec(num_seeds=2)).run().stats_table(
@@ -503,3 +733,34 @@ class TestRunnerMonteCarlo:
         cell = table["NVL-72"][32]
         assert set(cell) == {"mean", "stddev", "ci95", "n_seeds"}
         assert cell["n_seeds"] == 2
+
+
+class TestInterpreterIndependence:
+    """Results must not depend on how builtin ``sum()`` rounds floats.
+
+    CPython >= 3.12 compensates float rounding in ``sum()``; a ``math.fsum``
+    stand-in for float inputs plays that part here on any interpreter, and
+    int inputs go through the real ``sum()``.
+    """
+
+    @staticmethod
+    def _fresh_run(monkeypatch, spec):
+        # Traces and timelines are rebuilt, so the stand-in reaches them too.
+        monkeypatch.setattr(spec_module, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner_module, "_TIMELINE_CACHE", {})
+        return ExperimentRunner(spec).run().to_json()
+
+    @pytest.mark.parametrize("num_seeds", [1, 3])
+    def test_results_do_not_depend_on_builtin_sum(self, monkeypatch, num_seeds):
+        spec = _sweep_spec(num_seeds=num_seeds)
+        plain = self._fresh_run(monkeypatch, spec)
+        real_sum = builtins.sum
+
+        def compensated_sum(iterable, /, start=0):
+            items = list(iterable)
+            if any(isinstance(item, float) for item in items):
+                return math.fsum([start, *items])
+            return real_sum(items, start)
+
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        assert self._fresh_run(monkeypatch, spec) == plain
