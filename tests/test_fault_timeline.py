@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.cdf import empirical_cdf, left_sum, weighted_quantile
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
@@ -107,16 +107,22 @@ class TestSweepIntervals:
         assert all(iv.duration_hours > 0 for iv in intervals)
 
     @given(st.lists(event_strategy, max_size=25))
+    # A one-ulp interval [39.99999999999999, 40.0) whose midpoint rounds to
+    # its end.
+    @example([(0, 0.0, 40.0), (1, 0.0, 39.99999999999999)])
     @settings(max_examples=60, deadline=None)
     def test_interval_sets_match_naive_scans(self, raw_events):
         trace = build_trace(raw_events)
         timeline = IntervalTimeline.from_trace(trace)
         for interval in timeline.intervals:
-            # Probe at the interval start and strictly inside it.
+            # Probe at the interval start and strictly inside it; the
+            # midpoint of an interval only an ulp or two wide can round to
+            # one of its ends, and the start probe already covers it.
             assert timeline.fault_set_at(interval.start_hour) == interval.nodes
             assert naive_fault_set(trace, interval.start_hour) == interval.nodes
             mid = interval.start_hour + interval.duration_hours / 2
-            assert naive_fault_set(trace, mid) == interval.nodes
+            if interval.start_hour < mid < interval.end_hour:
+                assert naive_fault_set(trace, mid) == interval.nodes
 
 
 class TestGridCompatibility:
