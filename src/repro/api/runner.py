@@ -17,7 +17,9 @@ on a single core:
   TP sweep -- O(events log events) instead of O(samples x events) grid
   scans,
 * each (architecture, TP) capacity cell is replayed once per run and shared
-  by ``waste``, ``max_job_scale`` and ``fault_waiting``, and
+  by ``waste``, ``max_job_scale``, ``fault_waiting`` and ``goodput`` (whose
+  one-job scheduler reads each interval's usable GPUs off the cell instead
+  of recomputing them), and
 * within each replay ``architecture.breakdown()`` is memoized per distinct
   fault set.
 
@@ -26,7 +28,9 @@ are exact duration-weighted quantities over the intervals -- no
 ``sample_interval_hours`` dependence.  They take one path for any seed
 count: a cell is a :class:`~repro.mc.BatchSeries` (one seed replayed through
 the scalar reference ``replay_intervals``, several through one vectorized
-``replay_batch`` pass), and every metric is read off it per seed.
+``replay_batch`` pass), and every metric is read off it per seed.  Goodput
+takes the same path: seed *i*'s one-job replay gets the cell's usable-GPU
+column for seed *i*.
 """
 
 from __future__ import annotations
@@ -101,10 +105,11 @@ def _timeline_for(
 # ------------------------------------------------------ shared capacity cells
 #: Replayed (architecture, TP) cells of the current run, keyed by (seed trace
 #: specs, ``n_nodes``, canonical architecture spec, TP size).  ``waste``,
-#: ``max_job_scale`` and ``fault_waiting`` read one cell instead of each
-#: replaying it.  Unlike the timelines, a cell depends on the architecture
-#: registry, which may map a name to another plugin by the next run, so
-#: :meth:`ExperimentRunner._execute` empties it before and after every run.
+#: ``max_job_scale``, ``fault_waiting`` and ``goodput`` read one cell instead
+#: of each replaying it.  Unlike the timelines, a cell depends on the
+#: architecture registry, which may map a name to another plugin by the next
+#: run, so :meth:`ExperimentRunner._execute` empties it before and after
+#: every run.
 _CellKey = tuple[tuple[TraceSpec, ...], int | None, str, int]
 _CELL_CACHE: dict[_CellKey, BatchSeries] = {}
 
@@ -259,22 +264,50 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     ]
 
 
+def _goodput_config(spec: ExperimentSpec, tp_size: int) -> GoodputConfig:
+    """The goodput job at ``tp_size``; a bad option raises naming the TP size.
+
+    With ``scenario.n_nodes`` set, the job is also checked against the
+    simulated cluster here; otherwise :class:`GoodputSimulator` checks it
+    against the trace, which this check does not build.
+    """
+    scenario = spec.scenario
+    options = spec.options_for("goodput")
+    try:
+        config = GoodputConfig(
+            job_gpus=int(options.get("job_gpus", scenario.job_gpus)),
+            tp_size=tp_size,
+            checkpoint_interval_hours=float(options.get("checkpoint_interval_hours", 1.0)),
+            restart_overhead_hours=float(options.get("restart_overhead_hours", 0.25)),
+        )
+    except ValueError as error:
+        raise ValueError(f"goodput at TP-{tp_size}: {error}") from None
+    if scenario.n_nodes is not None:
+        cluster_gpus = scenario.n_nodes * scenario.trace.gpus_per_node
+        if config.job_gpus > cluster_gpus:
+            raise ValueError(
+                f"goodput at TP-{tp_size}: job_gpus ({config.job_gpus}) larger "
+                f"than the cluster ({cluster_gpus} GPUs)"
+            )
+    return config
+
+
 def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """The one-job goodput replay per seed, reading capacity off the shared cell."""
     scenario = spec.scenario
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    options = spec.options_for("goodput")
-    config = GoodputConfig(
-        job_gpus=int(options.get("job_gpus", scenario.job_gpus)),
-        tp_size=tp_size,
-        checkpoint_interval_hours=float(options.get("checkpoint_interval_hours", 1.0)),
-        restart_overhead_hours=float(options.get("restart_overhead_hours", 0.25)),
-    )
+    config = _goodput_config(spec, tp_size)
+    cell = _cell(spec, payload, architecture)
     per_seed: list[dict[str, Any]] = []
-    for trace_spec in _seed_trace_specs(spec):
+    for index, trace_spec in enumerate(_seed_trace_specs(spec)):
         report = GoodputSimulator(
-            architecture, trace_spec.build(), config, n_nodes=scenario.n_nodes
+            architecture,
+            trace_spec.build(),
+            config,
+            n_nodes=scenario.n_nodes,
+            usable_gpus=cell.series_for_seed(index).usable_gpus,
         ).run()
         per_seed.append({
             "goodput": report.goodput,
@@ -573,7 +606,7 @@ _ARCH_SWEEP_EXPERIMENTS = (
 
 #: Experiments that replay the shared exact interval timeline (warmed before
 #: the pool forks).
-_TIMELINE_EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting", "schedule")
+_TIMELINE_EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting", "goodput", "schedule")
 
 #: Experiments that schedule the scenario's job queue.
 _WORKLOAD_EXPERIMENTS = ("schedule", "blast_radius")
@@ -720,15 +753,19 @@ class ExperimentRunner:
 
         When an experiment sweeps the architectures, builds each of them
         once, so unknown names and bad parameters raise before the cache is
-        read or a trace is built; and checks that the scheduling experiments
-        have a job queue.  This runs here rather than at spec parse time
-        because plugin architectures may register after a spec is parsed.
+        read or a trace is built; checks the goodput job at every TP size;
+        and checks that the scheduling experiments have a job queue.  This
+        runs here rather than at spec parse time because plugin
+        architectures may register after a spec is parsed.
         """
         scenario = self.spec.scenario
         experiments = self.spec.experiments
         if any(experiment in _ARCH_SWEEP_EXPERIMENTS for experiment in experiments):
             for arch_spec in scenario.architectures:
                 arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
+        if "goodput" in experiments:
+            for tp_size in scenario.tp_sizes:
+                _goodput_config(self.spec, tp_size)
         if scenario.workload is None:
             for experiment in experiments:
                 if experiment in _WORKLOAD_EXPERIMENTS:

@@ -22,12 +22,16 @@ The engine runs in one of two capacity models:
 
 **Expected-value mode** (``placement=None``, the default, and the model the
 single-job :class:`~repro.simulation.goodput.GoodputSimulator` wraps):
-capacity comes from ``architecture.usable_gpus(n_nodes, faults, tp_size)``,
-memoized per distinct ``(fault set, TP size)``.  Jobs hold GPU *counts*, not
-nodes, so a fault arrival charges every allocated job its *expected* share
-of the damage (``new_faults x job_gpus / cluster_gpus`` hits, each costing
-half a checkpoint interval plus the restart overhead) as restart *debt*,
-paid as wall-clock restart time before the job makes further progress:
+capacity is memoized per distinct ``(fault set, TP size)``.  It comes from
+the caller's per-interval column when one is given (``usable_gpus={tp_size:
+column}``, the usable GPUs a capacity replay already computed), and from
+``architecture.usable_gpus(n_nodes, faults, tp_size)`` otherwise -- for TP
+sizes without a column and fault sets no interval has.  Jobs hold GPU
+*counts*, not nodes, so a fault arrival charges every allocated job its
+*expected* share of the damage (``new_faults x job_gpus / cluster_gpus``
+hits, each costing half a checkpoint interval plus the restart overhead) as
+restart *debt*, paid as wall-clock restart time before the job makes
+further progress:
 
 * faults already active at t=0 are pre-existing capacity loss, never charged
   as arrivals;
@@ -108,7 +112,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from operator import attrgetter
 from typing import Any
 
@@ -315,6 +319,16 @@ class ClusterScheduler:
     backfill:
         Allow EASY backfilling past a blocked head under strict-order
         (FIFO) policies.
+    usable_gpus:
+        Capacity the caller has already replayed: a TP size mapped to the
+        usable GPUs of each interval of ``timeline``, in order (for example
+        ``replay_intervals(architecture, timeline, tp_size).usable_gpus``).
+        Each value must equal ``architecture.usable_gpus(timeline.n_nodes,
+        interval.nodes, tp_size)``; the scheduler reads it instead of
+        recomputing it.  TP sizes without a column, and fault sets no
+        interval has (the fault-free cluster beyond the trace), are computed
+        as usual.  A column whose length is not ``len(timeline)`` is
+        rejected.
 
     A 32-GPU cluster, one 10-hour fault on node 0, two jobs back to back:
 
@@ -334,6 +348,16 @@ class ClusterScheduler:
     3.0
     >>> report.makespan_hours
     6.0
+
+    Handing over capacity that has already been replayed gives the same
+    report:
+
+    >>> from repro.simulation.cluster import replay_intervals
+    >>> timeline = trace.interval_timeline()
+    >>> column = replay_intervals(BigSwitchHBD(4), timeline, 4).usable_gpus
+    >>> ClusterScheduler(BigSwitchHBD(4), timeline, jobs,
+    ...                  usable_gpus={4: column}).run() == report
+    True
 
     In placed mode jobs hold concrete nodes, so the fault starting at t=10
     on node 0 is a deterministic hit on exactly the job holding it:
@@ -357,6 +381,7 @@ class ClusterScheduler:
         horizon_hours: float | None = None,
         placement: PlacementPolicy | str | None = None,
         backfill: bool = False,
+        usable_gpus: Mapping[int, Sequence[int]] | None = None,
     ) -> None:
         if timeline.gpus_per_node != architecture.gpus_per_node:
             raise ValueError(
@@ -387,6 +412,14 @@ class ClusterScheduler:
                     f"cluster ({self.total_gpus} GPUs)"
                 )
         self._usable: dict[tuple[frozenset[int], int], int] = {}
+        for tp_size, column in (usable_gpus or {}).items():
+            if len(column) != len(timeline.intervals):
+                raise ValueError(
+                    f"usable_gpus for TP-{tp_size} has {len(column)} values, "
+                    f"but the timeline has {len(timeline.intervals)} intervals"
+                )
+            for interval, value in zip(timeline.intervals, column, strict=True):
+                self._usable[(interval.nodes, tp_size)] = int(value)
         # Placed-mode bookkeeping: memoized placement domains per (fault
         # set, TP), the nodes currently held by allocated jobs, and per-TP
         # free-node states (rebuilt whenever the fault set moves).
@@ -397,8 +430,9 @@ class ClusterScheduler:
 
     # ------------------------------------------------------------- capacity
     def _capacity(self, faults: frozenset[int], tp_size: int) -> int:
-        # Expected-value capacity: one full ``usable_gpus`` recompute per
-        # distinct (fault set, TP size); fault sets recur along the sweep.
+        # Expected-value capacity: the caller's replayed column where one was
+        # given, else one full ``usable_gpus`` recompute per distinct (fault
+        # set, TP size); fault sets recur along the sweep.
         key = (faults, tp_size)
         usable = self._usable.get(key)
         if usable is None:

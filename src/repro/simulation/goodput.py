@@ -25,6 +25,13 @@ hours are exact interval durations, a fault arrival is observed exactly once
 never charged as job-impacting restarts, and the expected number of
 job-impacting faults accumulates as a float (``len(new_faults) * job_share``
 per arrival).
+
+The job depends on the architecture only through each interval's usable
+GPUs, which a capacity replay of the same cell has already computed.  A
+caller holding that column (``replay_intervals(...).usable_gpus``) passes it
+as ``usable_gpus=`` and the scheduler reads it instead of recomputing it;
+the experiment runner hands every goodput seed its column of the run's
+shared capacity cell.
 """
 
 from __future__ import annotations
@@ -49,11 +56,17 @@ class GoodputConfig:
         if self.job_gpus < 1 or self.tp_size < 1:
             raise ValueError("job_gpus and tp_size must be positive")
         if self.job_gpus % self.tp_size:
-            raise ValueError("job_gpus must be a multiple of tp_size")
+            raise ValueError(
+                f"job_gpus ({self.job_gpus}) must be a multiple of tp_size ({self.tp_size})"
+            )
         if self.checkpoint_interval_hours <= 0:
-            raise ValueError("intervals must be positive")
+            raise ValueError(
+                f"checkpoint_interval_hours ({self.checkpoint_interval_hours}) must be positive"
+            )
         if self.restart_overhead_hours < 0:
-            raise ValueError("restart_overhead_hours must be non-negative")
+            raise ValueError(
+                f"restart_overhead_hours ({self.restart_overhead_hours}) must be non-negative"
+            )
 
 
 @dataclass
@@ -86,7 +99,30 @@ class GoodputReport:
 
 
 class GoodputSimulator:
-    """Replay one job against a fault trace for a given HBD architecture."""
+    """Replay one job against a fault trace for a given HBD architecture.
+
+    ``usable_gpus`` optionally gives the usable GPUs of each interval of
+    ``trace.interval_timeline(n_nodes)`` at ``config.tp_size``, as a
+    capacity replay computed them.  Each value must equal
+    ``architecture.usable_gpus(n_nodes, interval.nodes, config.tp_size)``;
+    the scheduler then reads the column instead of recomputing it, and the
+    report is the same:
+
+    >>> from repro.faults.trace import FaultEvent, FaultTrace
+    >>> from repro.hbd import NVLHBD
+    >>> from repro.simulation.cluster import replay_intervals
+    >>> trace = FaultTrace(n_nodes=36, duration_days=2,
+    ...                    events=[FaultEvent(3, 6.0, 30.0)], gpus_per_node=4)
+    >>> nvl, config = NVLHBD(72), GoodputConfig(job_gpus=144, tp_size=8)
+    >>> column = replay_intervals(nvl, trace.interval_timeline(), 8).usable_gpus
+    >>> column
+    [144, 136, 144]
+    >>> report = GoodputSimulator(nvl, trace, config).run()
+    >>> report.waiting_hours
+    24.0
+    >>> GoodputSimulator(nvl, trace, config, usable_gpus=column).run() == report
+    True
+    """
 
     def __init__(
         self,
@@ -94,6 +130,7 @@ class GoodputSimulator:
         trace: FaultTrace,
         config: GoodputConfig,
         n_nodes: int | None = None,
+        usable_gpus: Sequence[int] | None = None,
     ) -> None:
         if trace.gpus_per_node != architecture.gpus_per_node:
             raise ValueError("trace and architecture GPU-per-node mismatch")
@@ -105,8 +142,12 @@ class GoodputSimulator:
         # Keep the source trace: its per-size timeline cache is shared, so a
         # whole architecture line-up replays one swept timeline.
         self._source_trace = trace
-        if config.job_gpus > self.n_nodes * architecture.gpus_per_node:
-            raise ValueError("job larger than the cluster")
+        cluster_gpus = self.n_nodes * architecture.gpus_per_node
+        if config.job_gpus > cluster_gpus:
+            raise ValueError(
+                f"job_gpus ({config.job_gpus}) larger than the cluster ({cluster_gpus} GPUs)"
+            )
+        self.usable_gpus = usable_gpus
 
     def run(self) -> GoodputReport:
         from repro.scheduler.engine import ClusterScheduler
@@ -123,11 +164,13 @@ class GoodputSimulator:
             checkpoint_interval_hours=cfg.checkpoint_interval_hours,
             restart_overhead_hours=cfg.restart_overhead_hours,
         )
+        usable = None if self.usable_gpus is None else {cfg.tp_size: self.usable_gpus}
         report = ClusterScheduler(
             self.architecture,
             timeline,
             [job],
             horizon_hours=timeline.duration_hours,
+            usable_gpus=usable,
         ).run()
         outcome = report.jobs[0]
 

@@ -200,9 +200,11 @@ class TestRunner:
     @pytest.mark.parametrize(
         "spec",
         [
-            small_spec(experiments=("waste", "fault_waiting")),
+            small_spec(experiments=("waste", "fault_waiting", "goodput")),
             dataclasses.replace(
-                small_spec(experiments=("waste", "max_job_scale", "fault_waiting")),
+                small_spec(
+                    experiments=("waste", "max_job_scale", "fault_waiting", "goodput")
+                ),
                 num_seeds=2,
             ),
             ExperimentSpec.of(
@@ -220,6 +222,13 @@ class TestRunner:
         serial = ExperimentRunner(spec, max_workers=1).run()
         parallel = ExperimentRunner(spec, max_workers=2).run()
         assert parallel.to_json() == serial.to_json()
+
+    def test_goodput_timelines_are_swept_before_the_pool_forks(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_TIMELINE_CACHE", {})
+        runner = ExperimentRunner(small_spec(experiments=("goodput",)), num_seeds=2)
+        runner._warm_caches(runner.tasks())
+        seeds = runner_module._seed_trace_specs(runner.spec)
+        assert set(runner_module._TIMELINE_CACHE) == {(ts, 288) for ts in seeds}
 
     def test_custom_registered_architecture_runs_by_name(self):
         name = "test-dual-rail"
@@ -271,7 +280,9 @@ class TestSharedCells:
     EXPERIMENTS = ("waste", "max_job_scale", "fault_waiting")
     CELLS = [("InfiniteHBD(K=3)", 16), ("InfiniteHBD(K=3)", 32), ("NVL-72", 16), ("NVL-72", 32)]
 
-    def test_single_seed_replays_each_cell_once(self, monkeypatch):
+    @staticmethod
+    def run_single_seed(monkeypatch, experiments):
+        """(results, replayed cells) of a one-seed run."""
         calls = []
         replay = runner_module.replay_intervals
 
@@ -280,11 +291,12 @@ class TestSharedCells:
             return replay(architecture, timeline, tp_size)
 
         monkeypatch.setattr(runner_module, "replay_intervals", counting)
-        results = ExperimentRunner(small_spec(experiments=self.EXPERIMENTS), max_workers=1).run()
-        assert len(results) == 12
-        assert sorted(calls) == self.CELLS
+        results = ExperimentRunner(small_spec(experiments=experiments), max_workers=1).run()
+        return results, sorted(calls)
 
-    def test_multi_seed_replays_each_cell_once(self, monkeypatch):
+    @staticmethod
+    def run_two_seeds(monkeypatch, experiments):
+        """(results, replayed cells, stacked batches) of a two-seed run."""
         calls = []
         batches = []
         replay = runner_module.replay_batch
@@ -300,11 +312,55 @@ class TestSharedCells:
 
         monkeypatch.setattr(runner_module, "replay_batch", counting)
         monkeypatch.setattr(TraceBatch, "from_timelines", counting_batches)
-        spec = small_spec(experiments=self.EXPERIMENTS)
+        spec = small_spec(experiments=experiments)
         results = ExperimentRunner(spec, max_workers=1, num_seeds=2).run()
+        return results, sorted(calls), batches
+
+    def test_single_seed_replays_each_cell_once(self, monkeypatch):
+        results, calls = self.run_single_seed(monkeypatch, self.EXPERIMENTS)
         assert len(results) == 12
-        assert sorted(calls) == self.CELLS
+        assert calls == self.CELLS
+
+    def test_multi_seed_replays_each_cell_once(self, monkeypatch):
+        results, calls, batches = self.run_two_seeds(monkeypatch, self.EXPERIMENTS)
+        assert len(results) == 12
+        assert calls == self.CELLS
         assert len(batches) == 4
+
+    def test_goodput_shares_the_single_seed_cells(self, monkeypatch):
+        results, calls = self.run_single_seed(monkeypatch, self.EXPERIMENTS + ("goodput",))
+        assert len(results) == 16
+        assert calls == self.CELLS
+
+    def test_goodput_shares_the_multi_seed_cells(self, monkeypatch):
+        results, calls, batches = self.run_two_seeds(
+            monkeypatch, self.EXPERIMENTS + ("goodput",)
+        )
+        assert len(results) == 16
+        assert calls == self.CELLS
+        assert len(batches) == 4
+
+    def test_goodput_alone_replays_each_cell_once(self, monkeypatch):
+        results, calls = self.run_single_seed(monkeypatch, ("goodput",))
+        assert len(results) == 4
+        assert calls == self.CELLS
+
+    def test_goodput_computes_no_capacity_of_its_own(self, monkeypatch):
+        calls = []
+        usable_gpus = NVLHBD.usable_gpus
+
+        def counting(architecture, n_nodes, faulty_nodes, tp_size):
+            calls.append(tp_size)
+            return usable_gpus(architecture, n_nodes, faulty_nodes, tp_size)
+
+        monkeypatch.setattr(NVLHBD, "usable_gpus", counting)
+        counts = {}
+        for experiments in (("waste",), ("waste", "goodput")):
+            calls.clear()
+            ExperimentRunner(small_spec(experiments=experiments), max_workers=1).run()
+            counts[experiments] = len(calls)
+        assert counts[("waste",)] > 0
+        assert counts[("waste", "goodput")] == counts[("waste",)]
 
     def test_re_registered_name_is_replayed_again(self):
         name = "test-shared-cell"
@@ -381,6 +437,38 @@ class TestFailFast:
         with pytest.raises(error, match=match):
             ExperimentRunner(spec, cache="memory").run()
         assert work == []
+
+    @pytest.mark.parametrize(
+        ("options", "match"),
+        [
+            ({"job_gpus": 48}, r"TP-32: job_gpus \(48\) must be a multiple of tp_size"),
+            ({"checkpoint_interval_hours": 0}, "TP-16: checkpoint_interval_hours"),
+            ({"restart_overhead_hours": -1}, "TP-16: restart_overhead_hours"),
+            ({"job_gpus": 2048}, r"TP-16: job_gpus \(2048\) larger than the cluster"),
+        ],
+        ids=["not-a-tp-multiple", "checkpoint-interval", "restart-overhead",
+             "larger-than-cluster"],
+    )
+    def test_bad_goodput_options_rejected_before_any_replay(
+        self, monkeypatch, options, match
+    ):
+        # Two architectures x TP 16 and 32 on 288 four-GPU nodes.
+        spec = ExperimentSpec.of(
+            scenario=small_spec().scenario,
+            experiments=("waste", "goodput"),
+            options={"goodput": options},
+            max_workers=1,
+        )
+        replays = []
+        replay = runner_module.replay_intervals
+        monkeypatch.setattr(
+            runner_module,
+            "replay_intervals",
+            lambda *args: replays.append(args) or replay(*args),
+        )
+        with pytest.raises(ValueError, match=match):
+            ExperimentRunner(spec).run()
+        assert replays == []
 
     def test_architectures_no_experiment_sweeps_are_not_built(self):
         spec = ExperimentSpec.from_dict({

@@ -11,7 +11,9 @@ models (expected-value, packed, spread), with and without backfill, run to
 completion and to a finite horizon, on three architectures.  Each case
 stores the SHA-256 of its canonical report JSON, so any change to what the
 engine schedules -- or to the float rounding of its accounting -- shows up
-as a named drifted case.
+as a named drifted case.  Every case that reads expected-value capacity is
+also rerun with a replayed TP-8 usable-GPU column and must reproduce its
+recorded digest.
 
 Refresh intentionally with::
 
@@ -42,6 +44,7 @@ from repro.scheduler import (
     policy_by_name,
 )
 from repro.scheduler.policies import POLICY_NAMES
+from repro.simulation.cluster import replay_intervals
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -174,11 +177,8 @@ def _grid_jobs():
     )
 
 
-def _scheduler_grid():
-    """Case id -> SHA-256 of the run's canonical ``ClusterReport`` JSON."""
-    timeline = _grid_trace().interval_timeline()
-    jobs = _grid_jobs()
-    digests = {}
+def _grid_cases():
+    """Yield (case id, architecture, ``ClusterScheduler`` keywords) per case."""
     for arch_name in GRID_ARCHITECTURES:
         arch = architecture_by_name(arch_name)
         for label, policy_name, knobs, backfills in GRID_POLICIES:
@@ -188,27 +188,35 @@ def _scheduler_grid():
                 for placement in GRID_PLACEMENTS:
                     for backfill in backfills:
                         for horizon in GRID_HORIZONS:
-                            report = ClusterScheduler(
-                                arch,
-                                timeline,
-                                jobs,
-                                policy=policy_by_name(
-                                    policy_name, preemptive, **knobs
-                                ),
-                                horizon_hours=horizon,
-                                placement=placement,
-                                backfill=backfill,
-                            ).run()
                             case = (
                                 f"{arch_name}|{label}|preemptive={preemptive}"
                                 f"|{placement or 'expected-value'}"
                                 f"|backfill={backfill}|horizon={horizon}"
                             )
-                            canonical = json.dumps(report.to_dict(), sort_keys=True)
-                            digests[case] = hashlib.sha256(
-                                canonical.encode()
-                            ).hexdigest()
-    return digests
+                            yield case, arch, {
+                                "policy": policy_by_name(
+                                    policy_name, preemptive, **knobs
+                                ),
+                                "horizon_hours": horizon,
+                                "placement": placement,
+                                "backfill": backfill,
+                            }
+
+
+def _digest(report):
+    """SHA-256 of a ``ClusterReport``'s canonical JSON."""
+    canonical = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _scheduler_grid():
+    """Case id -> SHA-256 of the run's canonical ``ClusterReport`` JSON."""
+    timeline = _grid_trace().interval_timeline()
+    jobs = _grid_jobs()
+    return {
+        case: _digest(ClusterScheduler(arch, timeline, jobs, **kwargs).run())
+        for case, arch, kwargs in _grid_cases()
+    }
 
 
 class TestSchedulerGridGolden:
@@ -233,6 +241,30 @@ class TestSchedulerGridGolden:
         assert len(stored) == 10 * 3 * 2 * 2 * 3 + 3 * 2 * 3
         for label, _, _, _ in GRID_POLICIES:
             assert any(f"|{label}|" in case for case in stored)
+
+    def test_replayed_capacity_column_reproduces_every_case(self):
+        # Expected-value capacity is read in expected-value mode and by the
+        # backfill reservation in placed mode.  The grid mixes TP-8 and
+        # TP-16 jobs, so the TP-8 column runs beside the memo for TP 16.
+        timeline = _grid_trace().interval_timeline()
+        jobs = _grid_jobs()
+        stored = json.loads((GOLDEN_DIR / "scheduler_grid.json").read_text())
+        columns = {}
+        checked, drifted = 0, []
+        for case, arch, kwargs in _grid_cases():
+            if kwargs["placement"] is not None and not kwargs["backfill"]:
+                continue
+            if arch.name not in columns:
+                columns[arch.name] = replay_intervals(arch, timeline, 8).usable_gpus
+            report = ClusterScheduler(
+                arch, timeline, jobs, usable_gpus={8: columns[arch.name]}, **kwargs
+            ).run()
+            checked += 1
+            if _digest(report) != stored[case]:
+                drifted.append(case)
+        assert not drifted, f"cases drifted with a replayed column: {drifted}"
+        # 126 expected-value cases and 120 placed cases with backfill.
+        assert checked == 126 + 120
 
 
 class TestGoldenHygiene:

@@ -600,7 +600,7 @@ SWEEP_EXPERIMENTS = (
 )
 
 
-def _sweep_spec(num_seeds=1, experiments=SWEEP_EXPERIMENTS):
+def _sweep_spec(num_seeds=1, experiments=SWEEP_EXPERIMENTS, options=None):
     """Three architectures x two TP sizes on 144 nodes over 20 days."""
     return ExperimentSpec.of(
         scenario=Scenario(
@@ -617,6 +617,7 @@ def _sweep_spec(num_seeds=1, experiments=SWEEP_EXPERIMENTS):
             workload=WorkloadSpec(n_jobs=20, seed=3),
         ),
         experiments=experiments,
+        options=options,
         max_workers=1,
         num_seeds=num_seeds,
     )
@@ -700,7 +701,13 @@ class TestRunnerMonteCarlo:
 
     def test_seed_stats_and_series_match_single_seed_runs(self):
         """Per-seed values are what single-seed runs at s, s+1, s+2 produce."""
-        spec = _sweep_spec(num_seeds=3, experiments=("waste", "max_job_scale", "fault_waiting"))
+        # A 512-GPU goodput job waits on some seeds and not on others, so a
+        # capacity column handed to the wrong seed would show.
+        spec = _sweep_spec(
+            num_seeds=3,
+            experiments=("waste", "max_job_scale", "fault_waiting", "goodput"),
+            options={"goodput": {"job_gpus": 512}},
+        )
         multi = ExperimentRunner(spec).run()
         base_seed = spec.scenario.trace.seed
         singles = [
@@ -716,6 +723,9 @@ class TestRunnerMonteCarlo:
                 "min_usable_gpus",
                 "max_job_scale",
                 "fault_waiting_rate",
+                "goodput",
+                "waiting_fraction",
+                "job_impacting_faults",
             ):
                 if name not in many.metrics_dict:
                     continue
@@ -723,7 +733,7 @@ class TestRunnerMonteCarlo:
                 assert many.metric(f"{name}_mean") == stats.mean
                 assert many.metric(f"{name}_stddev") == stats.stddev
                 checked.add(name)
-        assert len(checked) == 5
+        assert len(checked) == 8
 
     def test_stats_table_shape(self):
         table = ExperimentRunner(_spec(num_seeds=2)).run().stats_table(

@@ -397,6 +397,18 @@ class TestEngineBasics:
                 [JobSpec(name="a", gpus=8, tp_size=4, work_hours=1.0)],
             )
 
+    def test_usable_gpus_column_of_the_wrong_length_rejected(self):
+        # Three intervals: before, during and after the fault.
+        timeline = quiet_trace(events=[FaultEvent(0, 10.0, 20.0)]).interval_timeline()
+        jobs = [JobSpec(name="a", gpus=8, tp_size=4, work_hours=1.0)]
+        column = [40, 36, 40]
+        ClusterScheduler(BigSwitchHBD(4), timeline, jobs, usable_gpus={4: column})
+        for wrong in (column[:2], column + [40]):
+            with pytest.raises(ValueError, match="TP-4 has"):
+                ClusterScheduler(
+                    BigSwitchHBD(4), timeline, jobs, usable_gpus={4: wrong}
+                )
+
     def test_schedule_comparison_covers_architectures(self):
         trace = quiet_trace()
         jobs = [JobSpec(name="a", gpus=8, tp_size=4, work_hours=5.0)]
