@@ -6,7 +6,7 @@ stay **byte-stable**: any change to the generators, the scheduler, the
 runner's aggregation or the serialization shows up as a diff here.
 
 The scheduler grid pins :class:`ClusterScheduler` itself: every policy, with
-its default preemption and with preemption forced on, under both capacity
+preemption forced off and forced on, under both capacity
 models (expected-value, packed, spread), with and without backfill, run to
 completion and to a finite horizon, on three architectures.  Each case
 stores the SHA-256 of its canonical report JSON, so any change to what the
@@ -182,9 +182,9 @@ def _grid_cases():
     for arch_name in GRID_ARCHITECTURES:
         arch = architecture_by_name(arch_name)
         for label, policy_name, knobs, backfills in GRID_POLICIES:
-            # Default preemption, then forced on (one case when they agree).
-            modes = sorted({policy_by_name(policy_name).preemptive, True})
-            for preemptive in modes:
+            # Both preemption modes for every policy, whatever its default:
+            # the non-preemptive and preemptive allocation starts differ.
+            for preemptive in (False, True):
                 for placement in GRID_PLACEMENTS:
                     for backfill in backfills:
                         for horizon in GRID_HORIZONS:
@@ -234,13 +234,16 @@ class TestSchedulerGridGolden:
 
     def test_grid_covers_every_policy_mode_and_capacity_model(self):
         stored = json.loads((GOLDEN_DIR / "scheduler_grid.json").read_text())
-        # 4 classic policies x 2 preemption modes + gittins and optimizer
-        # (preemptive by default) = 10 policy modes, x 3 capacity models
-        # x 2 backfill x 2 horizons x 3 architectures; gittins-fast adds 3
-        # capacity models x 2 horizons x 3 architectures.
-        assert len(stored) == 10 * 3 * 2 * 2 * 3 + 3 * 2 * 3
+        # 6 policies x 2 preemption modes = 12 policy modes, x 3 capacity
+        # models x 2 backfill x 2 horizons x 3 architectures; gittins-fast
+        # adds 2 preemption modes x 3 capacity models x 2 horizons x 3
+        # architectures.
+        assert len(stored) == 12 * 3 * 2 * 2 * 3 + 2 * 3 * 2 * 3
         for label, _, _, _ in GRID_POLICIES:
-            assert any(f"|{label}|" in case for case in stored)
+            for preemptive in (False, True):
+                assert any(
+                    f"|{label}|preemptive={preemptive}|" in case for case in stored
+                )
 
     def test_replayed_capacity_column_reproduces_every_case(self):
         # Expected-value capacity is read in expected-value mode and by the
@@ -263,8 +266,8 @@ class TestSchedulerGridGolden:
             if _digest(report) != stored[case]:
                 drifted.append(case)
         assert not drifted, f"cases drifted with a replayed column: {drifted}"
-        # 126 expected-value cases and 120 placed cases with backfill.
-        assert checked == 126 + 120
+        # 156 expected-value cases and 144 placed cases with backfill.
+        assert checked == 156 + 144
 
 
 class TestGoldenHygiene:
