@@ -83,8 +83,18 @@ stability bonus) plug into the same greedy walk.  Policies flagged
 ``dynamic_priority`` additionally get wake-up events at their exact
 demotion/promotion crossings, and policies with a ``lookahead_k`` window
 replace the admission walk with a k-job look-ahead that scores every
-fitting window candidate and admits the best one (dry-run placement plans
-in placed mode).
+fitting window candidate and admits the best one.
+
+**One allocation round** serves both capacity models: ``_select`` starts
+the round (preemptive, non-preemptive placed or non-preemptive
+expected-value), then walks the admission order -- greedily, or through
+the look-ahead window -- and the capacity model supplies only how one job
+is taken: a GPU count checked against the usable capacity, or a node plan
+carved out of the placement domains.  The look-ahead scores dry-run
+probes (a plan is pure) and commits only the winner.  What stays per
+model is where fault damage is charged: placed hits deschedule their
+victims before the round, expected-value restart debt is charged after it
+to the running set the round produced.
 
 **Event core**: the sweep keeps the in-system jobs in two lists.
 ``running`` holds the allocated jobs -- few, since each holds at least one
@@ -290,6 +300,12 @@ class _TpPlacementState:
         self.set_avail(index, len(self.free[index]) // self.npg[index])
 
 
+#: What a look-ahead probe plans for one job: the TP size's free-node state
+#: and its ``(domain index, TP groups)`` picks in placed mode, nothing in
+#: expected-value mode.
+_Plan = tuple[_TpPlacementState, list[tuple[int, int]]] | None
+
+
 class ClusterScheduler:
     """Replay a queue of jobs against one architecture over the fault timeline.
 
@@ -440,19 +456,16 @@ class ClusterScheduler:
             self._usable[key] = usable
         return usable
 
-    def _validate_runs_to_completion(self) -> None:
+    def _validate_runs_to_completion(
+        self, capacity: Callable[[frozenset[int], int], int]
+    ) -> None:
         empty: frozenset[int] = frozenset()
         for job in self.jobs:
             if job.work_hours is None:
                 raise ValueError(
                     f"job {job.name!r} has unbounded work; set horizon_hours"
                 )
-            capacity = (
-                self._placed_capacity(empty, job.tp_size)
-                if self.placement is not None
-                else self._capacity(empty, job.tp_size)
-            )
-            if job.gpus > capacity:
+            if job.gpus > capacity(empty, job.tp_size):
                 raise ValueError(
                     f"job {job.name!r} ({job.gpus} GPUs at TP-{job.tp_size}) "
                     f"cannot run even on the fault-free cluster; set "
@@ -515,6 +528,7 @@ class ClusterScheduler:
                 state.refresh(index, self._held)
 
     def _release_nodes(self, nodes: frozenset[int]) -> None:
+        # Expected-value jobs hold no nodes, so this is a no-op there.
         if nodes:
             self._held -= nodes
             self._placed_sync(nodes)
@@ -526,40 +540,23 @@ class ClusterScheduler:
 
         Pure planning: no nodes are taken, so look-ahead selection can dry-run
         candidate placements and commit only the winner.  Domains are filled
-        in the placement policy's preference order.
+        band by band -- the slot-count bands in the policy's ``bands`` order,
+        index order within a band -- so no domain list is ever sorted.
         """
         if state.avail_total < needed:
             return None
         placement = self.placement
         assert placement is not None  # placed mode only
-        bands = placement.bands
         plan: list[tuple[int, int]] = []
-        if bands is not None:
-            # Banded fast path: walk the slot-count bands directly (index
-            # order within a band) instead of sorting every domain.
-            band_keys = sorted(state.buckets, reverse=bands == "descending")
-            for slots in band_keys:
-                if not slots:
-                    continue
-                for index in state.buckets[slots]:
-                    take = min(slots, needed)
-                    plan.append((index, take))
-                    needed -= take
-                    if not needed:
-                        break
-                if not needed:
-                    break
-        else:
-            candidates = [
-                (slots, index) for index, slots in enumerate(state.avail) if slots
-            ]
-            placement.order(candidates)
-            for slots, index in candidates:
+        for slots in sorted(state.buckets, reverse=placement.bands == "descending"):
+            if not slots:
+                continue
+            for index in state.buckets[slots]:
                 take = min(slots, needed)
                 plan.append((index, take))
                 needed -= take
                 if not needed:
-                    break
+                    return plan
         return plan
 
     def _commit_plan(
@@ -579,17 +576,6 @@ class ClusterScheduler:
         self._held |= nodes
         self._placed_sync(nodes, skip=tp_size)
         return nodes
-
-    def _try_place(
-        self, rt: _JobRuntime, faults: frozenset[int]
-    ) -> frozenset[int] | None:
-        """Carve the job's TP groups out of free domain nodes, or fail clean."""
-        spec = rt.spec
-        state = self._tp_state(spec.tp_size, faults)
-        plan = self._place_plan(state, spec.gpus // spec.tp_size)
-        if plan is None:
-            return None
-        return self._commit_plan(state, plan, spec.tp_size)
 
     # ----------------------------------------------------------- allocation
     def _backfill_window(
@@ -653,20 +639,21 @@ class ClusterScheduler:
             allocated=rt.allocated,
         )
 
-    def _lookahead_fill(
+    def _lookahead(
         self,
         admission: list[_JobRuntime],
         chosen: list[_JobRuntime],
-        used: int,
-        faults: frozenset[int],
+        probe: Callable[[_JobRuntime], tuple[float, _Plan] | None],
+        commit: Callable[[_JobRuntime, _Plan], None],
     ) -> None:
-        """k-job look-ahead admission (expected-value capacity model).
+        """k-job look-ahead admission, appending winners to ``chosen``.
 
-        Repeatedly score the first ``k`` queued jobs that fit the remaining
-        capacity (``lookahead_score`` on the fraction of free capacity the
-        job would fill) and admit the best-scoring one; stop when nothing in
-        the window fits.  Ties break by submit time then sequence, so the
-        outcome is deterministic.
+        Repeatedly score the first ``k`` candidates that fit now
+        (``lookahead_score`` on the fill fraction ``probe`` reports) and
+        admit the best-scoring one: only the winner's plan is committed,
+        then the window re-scores against the updated capacity.  Stop when
+        nothing in the window fits.  Ties break by submit time then
+        sequence, so the outcome is deterministic.
         """
         policy = self.policy
         k = policy.lookahead_k
@@ -675,70 +662,23 @@ class ClusterScheduler:
         while queue:
             best = -1
             best_rank: tuple[float, float, int] | None = None
+            best_plan: _Plan = None
             for index, rt in enumerate(queue[:k]):
-                free = self._capacity(faults, rt.spec.tp_size) - used
-                if rt.spec.gpus > free:
+                probed = probe(rt)
+                if probed is None:
                     continue
-                fill = rt.spec.gpus / free
+                fill, plan = probed
                 score = policy.lookahead_score(rt.spec, rt.remaining_work, fill)
                 rank = (-score, rt.spec.submit_hour, rt.sequence)
                 if best_rank is None or rank < best_rank:
                     best_rank = rank
                     best = index
-            if best < 0:
-                break
-            winner = queue.pop(best)
-            chosen.append(winner)
-            used += winner.spec.gpus
-
-    def _lookahead_place(
-        self,
-        admission: list[_JobRuntime],
-        chosen: list[_JobRuntime],
-        placements: dict[int, frozenset[int]],
-        faults: frozenset[int],
-    ) -> None:
-        """k-job look-ahead admission over concrete placement domains.
-
-        Each window candidate dry-runs a placement plan (``_place_plan`` is
-        pure); the fill score is the job's TP-group demand over the open
-        slots of the domains its plan touches, so tightly fitting candidates
-        win.  Only the winner's plan is committed, then the window re-scores
-        against the updated free lists.
-        """
-        policy = self.policy
-        k = policy.lookahead_k
-        assert k is not None
-        queue = list(admission)
-        while queue:
-            best = -1
-            best_rank: tuple[float, float, int] | None = None
-            best_plan: list[tuple[int, int]] | None = None
-            best_state: _TpPlacementState | None = None
-            for index, rt in enumerate(queue[:k]):
-                spec = rt.spec
-                state = self._tp_state(spec.tp_size, faults)
-                needed = spec.gpus // spec.tp_size
-                plan = self._place_plan(state, needed)
-                if plan is None:
-                    continue
-                slots_open = sum(state.avail[i] for i, _ in plan)
-                fill = needed / slots_open
-                score = policy.lookahead_score(spec, rt.remaining_work, fill)
-                rank = (-score, spec.submit_hour, rt.sequence)
-                if best_rank is None or rank < best_rank:
-                    best_rank = rank
-                    best = index
                     best_plan = plan
-                    best_state = state
             if best < 0:
                 break
             winner = queue.pop(best)
-            assert best_plan is not None and best_state is not None
             chosen.append(winner)
-            placements[winner.sequence] = self._commit_plan(
-                best_state, best_plan, winner.spec.tp_size
-            )
+            commit(winner, best_plan)
 
     def _keyed(self, running: list[_JobRuntime]) -> list[_JobRuntime]:
         """Re-key the running jobs and return them in policy order.
@@ -784,42 +724,55 @@ class ClusterScheduler:
                     break
                 shadow, extra = self._backfill_window(rt, chosen, faults, t)
 
-    @staticmethod
-    def _changes(
-        running: list[_JobRuntime], chosen: list[_JobRuntime]
-    ) -> tuple[list[_JobRuntime], list[_JobRuntime]]:
-        """(queued jobs newly admitted, running jobs evicted) by a selection."""
-        kept = {rt.sequence for rt in chosen if rt.allocated}
-        admitted = [rt for rt in chosen if not rt.allocated]
-        evicted = [rt for rt in running if rt.sequence not in kept]
-        return admitted, evicted
-
     def _select(
         self,
         running: list[_JobRuntime],
         queue: list[_JobRuntime],
         faults: frozenset[int],
         t: float,
-    ) -> tuple[list[_JobRuntime], list[_JobRuntime]]:
-        """Expected-value allocation: (admitted, evicted) jobs.
+    ) -> tuple[list[_JobRuntime], list[_JobRuntime], dict[int, frozenset[int]]]:
+        """One allocation round: (admitted, evicted, nodes per chosen job).
 
-        ``queue`` is already in policy order, so only the running jobs are
-        keyed here and merged in.
+        Both capacity models run this round; the nodes map is empty in
+        expected-value mode.  ``queue`` is already in policy order, and the
+        round starts in one of three ways:
+
+        * preemptive: running and queued jobs compete in one merged key
+          order (placed mode first releases every held node, so jobs are
+          re-placed in priority order);
+        * non-preemptive, placed: running jobs keep their nodes -- those are
+          healthy, since fault hits released their victims' nodes already;
+        * non-preemptive, expected-value: running jobs outrank every queued
+          job and are re-checked by count.  One the capacity can no longer
+          host falls back into the queue at its priority position, so under
+          a strict-order policy it still blocks every younger job (no
+          backfill past the descheduled queue head).
+
+        The capacity model supplies only how one job is taken, as three
+        closures: ``take`` allocates it now (a GPU count, or a node plan
+        committed at once); ``probe`` is pure and returns the fill fraction
+        and the plan of a job that fits now; ``commit`` takes what ``probe``
+        planned.  ``take`` is not built from the other two because
+        non-strict preemptive walks call it for every queued and running
+        job.
         """
         policy = self.policy
+        placed = self.placement is not None
         chosen: list[_JobRuntime] = []
-        used = 0
+        nodes_of: dict[int, frozenset[int]] = {}
+        used = 0  # GPUs allocated so far (expected-value mode)
         admission = queue
         if policy.preemptive:
+            if placed:
+                self._held.clear()
+                self._tp_states.clear()
             # Two sorted runs over cached keys: the sort is a linear merge.
             admission = sorted(queue + self._keyed(running), key=_by_key)
+        elif placed:
+            for rt in running:
+                nodes_of[rt.sequence] = rt.nodes
+                chosen.append(rt)
         else:
-            # Running jobs outrank every queued job: only a capacity drop
-            # (or completion) releases their allocation.  A running job the
-            # capacity can no longer host falls back into the admission
-            # queue at its priority position, so under a strict-order policy
-            # it still blocks every younger job (no backfill past the
-            # descheduled queue head).
             displaced: list[_JobRuntime] = []
             for rt in self._keyed(running):
                 if used + rt.spec.gpus <= self._capacity(faults, rt.spec.tp_size):
@@ -830,82 +783,79 @@ class ClusterScheduler:
             if displaced:
                 admission = sorted(queue + displaced, key=_by_key)
 
-        def take(rt: _JobRuntime) -> bool:
-            nonlocal used
-            if used + rt.spec.gpus > self._capacity(faults, rt.spec.tp_size):
-                return False
-            used += rt.spec.gpus
-            return True
+        if placed:
+
+            def take(rt: _JobRuntime) -> bool:
+                # Only preemptive re-placement walks allocated jobs: one
+                # keeps its exact nodes whenever no higher-priority job
+                # claimed them (stability -- an unmoved job is never charged).
+                if rt.allocated and rt.nodes and not (rt.nodes & self._held):
+                    self._held |= rt.nodes
+                    self._placed_sync(rt.nodes)
+                    nodes_of[rt.sequence] = rt.nodes
+                    return True
+                spec = rt.spec
+                state = self._tp_state(spec.tp_size, faults)
+                plan = self._place_plan(state, spec.gpus // spec.tp_size)
+                if plan is None:
+                    return False
+                nodes_of[rt.sequence] = self._commit_plan(state, plan, spec.tp_size)
+                return True
+
+            def probe(rt: _JobRuntime) -> tuple[float, _Plan] | None:
+                # Fill: the TP groups needed over the open slots of the
+                # domains the dry-run plan touches.
+                spec = rt.spec
+                state = self._tp_state(spec.tp_size, faults)
+                needed = spec.gpus // spec.tp_size
+                plan = self._place_plan(state, needed)
+                if plan is None:
+                    return None
+                return needed / sum(state.avail[i] for i, _ in plan), (state, plan)
+
+            def commit(rt: _JobRuntime, planned: _Plan) -> None:
+                assert planned is not None
+                state, plan = planned
+                nodes_of[rt.sequence] = self._commit_plan(state, plan, rt.spec.tp_size)
+
+        else:
+
+            def take(rt: _JobRuntime) -> bool:
+                nonlocal used
+                if used + rt.spec.gpus > self._capacity(faults, rt.spec.tp_size):
+                    return False
+                used += rt.spec.gpus
+                return True
+
+            def probe(rt: _JobRuntime) -> tuple[float, _Plan] | None:
+                # Fill: the job's GPUs over the free GPUs.
+                free = self._capacity(faults, rt.spec.tp_size) - used
+                if rt.spec.gpus > free:
+                    return None
+                return rt.spec.gpus / free, None
+
+            def commit(rt: _JobRuntime, planned: _Plan) -> None:
+                nonlocal used
+                used += rt.spec.gpus
 
         if policy.lookahead_k is not None:
-            self._lookahead_fill(admission, chosen, used, faults)
+            self._lookahead(admission, chosen, probe, commit)
         else:
             self._walk(admission, chosen, take, faults, t)
-        return self._changes(running, chosen)
-
-    def _select_placed(
-        self,
-        running: list[_JobRuntime],
-        queue: list[_JobRuntime],
-        faults: frozenset[int],
-        t: float,
-    ) -> tuple[list[_JobRuntime], list[_JobRuntime], dict[int, frozenset[int]]]:
-        """Placed-mode allocation: (admitted, evicted, nodes per chosen job)."""
-        policy = self.policy
-        placements: dict[int, frozenset[int]] = {}
-        chosen: list[_JobRuntime] = []
-        admission = queue
-        if policy.preemptive:
-            # Re-place everyone in priority order; a job keeps its exact
-            # nodes when no higher-priority job claimed them (stability --
-            # an unmoved job is never charged).
-            self._held.clear()
-            self._tp_states.clear()
-            admission = sorted(queue + self._keyed(running), key=_by_key)
-        else:
-            # Running jobs are immovable in placed mode: their concrete
-            # nodes are healthy (fault hits released theirs already), so
-            # only completions free nodes.
-            for rt in running:
-                placements[rt.sequence] = rt.nodes
-                chosen.append(rt)
-
-        def take(rt: _JobRuntime) -> bool:
-            # A still-allocated job keeps its exact nodes whenever no
-            # higher-priority job claimed them (stability: an unmoved job
-            # is never charged); otherwise it is placed like any other.
-            if (
-                policy.preemptive
-                and rt.allocated
-                and rt.nodes
-                and not (rt.nodes & self._held)
-            ):
-                self._held |= rt.nodes
-                self._placed_sync(rt.nodes)
-                nodes: frozenset[int] | None = rt.nodes
-            else:
-                nodes = self._try_place(rt, faults)
-            if nodes is None:
-                return False
-            placements[rt.sequence] = nodes
-            return True
-
-        if policy.lookahead_k is not None:
-            self._lookahead_place(admission, chosen, placements, faults)
-        else:
-            self._walk(admission, chosen, take, faults, t)
-        admitted, evicted = self._changes(running, chosen)
-        return admitted, evicted, placements
+        kept = {rt.sequence for rt in chosen if rt.allocated}
+        admitted = [rt for rt in chosen if not rt.allocated]
+        evicted = [rt for rt in running if rt.sequence not in kept]
+        return admitted, evicted, nodes_of
 
     # ------------------------------------------------------------ the sweep
     def run(self) -> ClusterReport:
         horizon = self.horizon_hours
-        if horizon is None:
-            self._validate_runs_to_completion()
         placed = self.placement is not None
+        capacity = self._placed_capacity if placed else self._capacity
+        if horizon is None:
+            self._validate_runs_to_completion(capacity)
         policy = self.policy
         dynamic = policy.dynamic_priority
-        capacity = self._placed_capacity if placed else self._capacity
         policy.reset()
         self._held.clear()
         self._tp_states.clear()
@@ -962,8 +912,7 @@ class ClusterScheduler:
                     unfinished -= 1
             if unfinished != before:
                 running = [rt for rt in running if rt.in_system]
-            if placed:
-                self._release_nodes(frozenset(released))
+            self._release_nodes(frozenset(released))
 
         t = 0.0
         while unfinished:
@@ -1095,10 +1044,8 @@ class ClusterScheduler:
                 for rt in queue:
                     rt.key = self._runtime_key(rt)
                 queue.sort(key=_by_key)
+            admitted, evicted, placements = self._select(running, queue, faults, t)
             if placed:
-                admitted, evicted, placements = self._select_placed(
-                    running, queue, faults, t
-                )
                 for rt in running:
                     # Policy pressure moves placed jobs (fault hits released
                     # their victims above): migration checkpoints and pays
@@ -1111,8 +1058,6 @@ class ClusterScheduler:
                         rt.nodes = nodes
                 for rt in admitted:
                     rt.nodes = placements[rt.sequence]
-            else:
-                admitted, evicted = self._select(running, queue, faults, t)
             for rt in evicted:
                 # Classify the eviction per job, independent of whether a
                 # fault boundary shares the timestamp: a job the current

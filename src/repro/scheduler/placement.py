@@ -23,44 +23,27 @@ names with difflib suggestions, matching the scheduling-policy ergonomics.
 
 from __future__ import annotations
 
-import abc
 import difflib
+from typing import Literal
 
 
-class PlacementPolicy(abc.ABC):
+class PlacementPolicy:
     """Domain-preference order for node-level job placement.
 
-    Subclasses order ``(free_slots, domain_index)`` candidates in place; the
-    engine fills domains in that order until the job's TP groups are all
-    placed (or fails without side effects when they cannot be).
-
-    >>> candidates = [(3, 0), (1, 1), (3, 2)]
-    >>> PackedPlacement().order(candidates); candidates
-    [(1, 1), (3, 0), (3, 2)]
-    >>> candidates = [(3, 0), (1, 1), (3, 2)]
-    >>> SpreadPlacement().order(candidates); candidates
-    [(3, 0), (3, 2), (1, 1)]
+    The engine keeps each domain in a band by its free slots (the TP groups
+    it can still host) and fills a job's TP groups band by band, in the
+    policy's :attr:`bands` order, until they are all placed (or fails
+    without side effects when they cannot be).  Within a band, domains fill
+    in index order -- the architecture's deterministic domain order -- so
+    placement stays seed-reproducible.
     """
 
     #: Spec / CLI name of the placement policy.
     name: str = "abstract"
 
-    #: Fast path: when set to ``"ascending"`` / ``"descending"``, the engine
-    #: walks its per-slot-count domain bands directly in that order (index
-    #: order within a band) instead of materialising and sorting the full
-    #: candidate list -- equivalent to :meth:`order` for the built-ins.
-    #: Custom policies leave it ``None`` and get the generic sorted path.
-    bands: str | None = None
-
-    @abc.abstractmethod
-    def order(self, candidates: list[tuple[int, int]]) -> None:
-        """Sort ``(free_slots, domain_index)`` pairs into fill order.
-
-        ``free_slots`` is the number of TP groups the domain can still
-        host.  Every ordering must break ties on the domain index (the
-        architecture's deterministic domain order) so placement stays
-        seed-reproducible.
-        """
+    #: The policy's one contract: ``"ascending"`` fills the domains with the
+    #: fewest free slots first, ``"descending"`` the ones with the most.
+    bands: Literal["ascending", "descending"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}({self.name})"
@@ -72,18 +55,12 @@ class PackedPlacement(PlacementPolicy):
     name = "packed"
     bands = "ascending"
 
-    def order(self, candidates: list[tuple[int, int]]) -> None:
-        candidates.sort()
-
 
 class SpreadPlacement(PlacementPolicy):
     """Worst-fit: spread TP groups over the emptiest domains first."""
 
     name = "spread"
     bands = "descending"
-
-    def order(self, candidates: list[tuple[int, int]]) -> None:
-        candidates.sort(key=lambda candidate: (-candidate[0], candidate[1]))
 
 
 _PLACEMENTS: dict[str, type[PlacementPolicy]] = {
