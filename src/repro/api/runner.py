@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -62,6 +63,12 @@ from repro.cache import ResultCache, content_key
 from repro.faults.timeline import IntervalTimeline
 from repro.hbd.base import HBDArchitecture
 from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
+from repro.scheduler import (
+    ClusterReport,
+    ClusterScheduler,
+    PlacementPolicy,
+    placement_by_name,
+)
 from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
@@ -327,12 +334,38 @@ def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[
     ]
 
 
+def _schedule_report(
+    scenario: Scenario,
+    architecture: HBDArchitecture,
+    trace_spec: TraceSpec,
+    tp_size: int,
+    placement: PlacementPolicy | str | None,
+) -> ClusterReport:
+    """Replay the scenario's job queue on one trace with the given placement.
+
+    The one scheduler run behind ``schedule`` and ``blast_radius``.  Jobs
+    are capped at half the simulated cluster, rounded to a TP multiple, so
+    the same workload spec stays schedulable across the whole architecture
+    line-up (fragmentation differs per architecture).
+    """
+    assert scenario.workload is not None  # ExperimentRunner.run checked it
+    timeline = _timeline_for(trace_spec, scenario.n_nodes)
+    total_gpus = architecture.total_gpus(timeline.n_nodes)
+    default_max = max(tp_size, total_gpus // 2 // tp_size * tp_size)
+    return ClusterScheduler(
+        architecture,
+        timeline,
+        scenario.workload.build(tp_size=tp_size, max_gpus=default_max),
+        policy=scenario.scheduler.build(),
+        horizon_hours=scenario.scheduler.horizon_hours,
+        placement=placement,
+        backfill=scenario.scheduler.backfill,
+    ).run()
+
+
 def _run_schedule_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Multi-job cluster scheduling over the exact fault timeline."""
-    from repro.scheduler.engine import ClusterScheduler
-
     scenario = spec.scenario
-    assert scenario.workload is not None  # ExperimentRunner.run checked it
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
@@ -340,25 +373,9 @@ def _run_schedule_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     per_seed: list[dict[str, Any]] = []
     series: dict[str, Sequence[float]] = {}
     for trace_spec in _seed_trace_specs(spec):
-        timeline = _timeline_for(trace_spec, scenario.n_nodes)
-
-        # Size cap for generated jobs: half the simulated cluster, rounded to
-        # a TP multiple, so the same workload spec stays schedulable across
-        # the whole architecture line-up (fragmentation differs per
-        # architecture).
-        total_gpus = architecture.total_gpus(timeline.n_nodes)
-        default_max = max(tp_size, total_gpus // 2 // tp_size * tp_size)
-        jobs = scenario.workload.build(tp_size=tp_size, max_gpus=default_max)
-
-        report = ClusterScheduler(
-            architecture,
-            timeline,
-            jobs,
-            policy=scenario.scheduler.build(),
-            horizon_hours=scenario.scheduler.horizon_hours,
-            placement=scenario.scheduler.build_placement(),
-            backfill=scenario.scheduler.backfill,
-        ).run()
+        report = _schedule_report(
+            scenario, architecture, trace_spec, tp_size, scenario.scheduler.build_placement()
+        )
         per_seed.append({
             "policy": report.policy,
             "preemptive": report.preemptive,
@@ -395,6 +412,35 @@ def _run_schedule_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     ]
 
 
+def _blast_radius_options(spec: ExperimentSpec) -> tuple[list[str], list[float]]:
+    """The blast-radius ``(placements, correlations)``; a bad one raises naming it.
+
+    Both options are lists: every placement must name a placement policy and
+    every correlation must be a number in [0, 1].
+    """
+    options = spec.options_for("blast_radius")
+    placements = options.get("placements", ("packed", "spread"))
+    correlations = options.get("correlations", (0.0, 0.5, 1.0))
+    for option, values in (("placements", placements), ("correlations", correlations)):
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"blast_radius option {option!r} must be a list, got {values!r}")
+    for name in placements:
+        try:
+            placement_by_name(str(name))
+        except KeyError as error:
+            raise ValueError(f"blast_radius option 'placements': {error.args[0]}") from None
+    parsed: list[float] = []
+    for value in correlations:
+        try:
+            correlation = float(value)
+        except (TypeError, ValueError):
+            correlation = math.nan
+        if not 0.0 <= correlation <= 1.0:
+            raise ValueError(f"blast_radius option 'correlations': {value!r} is not in [0, 1]")
+        parsed.append(correlation)
+    return [str(name) for name in placements], parsed
+
+
 def _run_blast_radius_task(
     spec: ExperimentSpec, payload: Mapping[str, Any]
 ) -> list[dict[str, Any]]:
@@ -407,16 +453,11 @@ def _run_blast_radius_task(
     ``fault_events``, ``jobs_killed``, ``max_blast_radius`` and
     ``mean_blast_radius`` (jobs descheduled per fault transition).
     """
-    from repro.scheduler.engine import ClusterScheduler
-
     scenario = spec.scenario
-    assert scenario.workload is not None  # ExperimentRunner.run checked it
     arch_spec = ArchitectureSpec.from_dict(payload["arch"])
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
-    options = spec.options_for("blast_radius")
-    placements = [str(p) for p in options.get("placements", ("packed", "spread"))]
-    correlations = [float(c) for c in options.get("correlations", (0.0, 0.5, 1.0))]
+    placements, correlations = _blast_radius_options(spec)
     corr_base = scenario.trace.correlated or CorrelatedFaultSpec()
 
     rows: list[dict[str, Any]] = []
@@ -428,19 +469,7 @@ def _run_blast_radius_task(
                     trace_spec,
                     correlated=dataclasses.replace(corr_base, correlation=correlation),
                 )
-                timeline = _timeline_for(cell_spec, scenario.n_nodes)
-                total_gpus = architecture.total_gpus(timeline.n_nodes)
-                default_max = max(tp_size, total_gpus // 2 // tp_size * tp_size)
-                jobs = scenario.workload.build(tp_size=tp_size, max_gpus=default_max)
-                report = ClusterScheduler(
-                    architecture,
-                    timeline,
-                    jobs,
-                    policy=scenario.scheduler.build(),
-                    horizon_hours=scenario.scheduler.horizon_hours,
-                    placement=placement,
-                    backfill=scenario.scheduler.backfill,
-                ).run()
+                report = _schedule_report(scenario, architecture, cell_spec, tp_size, placement)
                 per_seed.append({
                     "placement": placement,
                     "correlation": correlation,
@@ -754,7 +783,8 @@ class ExperimentRunner:
         When an experiment sweeps the architectures, builds each of them
         once, so unknown names and bad parameters raise before the cache is
         read or a trace is built; checks the goodput job at every TP size;
-        and checks that the scheduling experiments have a job queue.  This
+        checks that the scheduling experiments have a job queue; and parses
+        the ``blast_radius`` placements and correlations.  This
         runs here rather than at spec parse time because plugin
         architectures may register after a spec is parsed.
         """
@@ -770,6 +800,8 @@ class ExperimentRunner:
             for experiment in experiments:
                 if experiment in _WORKLOAD_EXPERIMENTS:
                     raise ValueError(f"experiment {experiment!r} needs scenario.workload")
+        if "blast_radius" in experiments:
+            _blast_radius_options(self.spec)
 
     def _task_cache_key(self, payload: Mapping[str, Any]) -> str:
         """Content key of one task: everything that determines its rows.

@@ -452,23 +452,55 @@ class TestFailFast:
     def test_bad_goodput_options_rejected_before_any_replay(
         self, monkeypatch, options, match
     ):
-        # Two architectures x TP 16 and 32 on 288 four-GPU nodes.
+        self.assert_rejected_before_any_replay(monkeypatch, "goodput", options, match)
+
+    @pytest.mark.parametrize(
+        ("options", "match"),
+        [
+            (
+                {"placements": ["packd"]},
+                r"blast_radius option 'placements': unknown placement policy 'packd'",
+            ),
+            (
+                {"correlations": [1.5]},
+                r"blast_radius option 'correlations': 1.5 is not in \[0, 1\]",
+            ),
+            (
+                {"placements": "packed"},
+                "blast_radius option 'placements' must be a list, got 'packed'",
+            ),
+        ],
+        ids=["unknown-placement", "correlation-out-of-range", "placements-not-a-list"],
+    )
+    def test_bad_blast_radius_options_rejected_before_any_replay(
+        self, monkeypatch, options, match
+    ):
+        self.assert_rejected_before_any_replay(monkeypatch, "blast_radius", options, match)
+
+    @staticmethod
+    def assert_rejected_before_any_replay(monkeypatch, experiment, options, match):
+        # waste plus the experiment: two architectures x TP 16 and 32 on 288
+        # four-GPU nodes.
         spec = ExperimentSpec.of(
-            scenario=small_spec().scenario,
-            experiments=("waste", "goodput"),
-            options={"goodput": options},
+            scenario=small_spec(workload=WorkloadSpec(n_jobs=4, seed=1)).scenario,
+            experiments=("waste", experiment),
+            options={experiment: options},
             max_workers=1,
         )
-        replays = []
+        work = []
         replay = runner_module.replay_intervals
+        build = TraceSpec.build
         monkeypatch.setattr(
             runner_module,
             "replay_intervals",
-            lambda *args: replays.append(args) or replay(*args),
+            lambda *args: work.append("replay") or replay(*args),
+        )
+        monkeypatch.setattr(
+            TraceSpec, "build", lambda trace: work.append("trace") or build(trace)
         )
         with pytest.raises(ValueError, match=match):
             ExperimentRunner(spec).run()
-        assert replays == []
+        assert work == []
 
     def test_architectures_no_experiment_sweeps_are_not_built(self):
         spec = ExperimentSpec.from_dict({
