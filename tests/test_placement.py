@@ -466,3 +466,66 @@ class TestPlacedConservation:
             assert math.isclose(buckets, job.wall_clock_hours, abs_tol=1e-6)
             if job.finished and job.work_hours:
                 assert job.finish_time_fairness >= 1.0 - 1e-9
+
+
+# --------------------------------------------------------------------------
+# metamorphic: the two capacity models agree where they must
+# --------------------------------------------------------------------------
+#: (architecture, TP size, nodes) cells that host at least one TP group on
+#: the fault-free cluster; every TP size is a multiple of the 4-GPU node.
+AGREE_CELLS = [
+    (arch, tp_size, n_nodes)
+    for arch in ARCHITECTURES
+    for tp_size in (4, 8, 16, 32, 64)
+    for n_nodes in (24, 72)
+    if arch.usable_gpus(n_nodes, frozenset(), tp_size) >= tp_size
+]
+
+
+class TestCapacityModelsAgree:
+    """Without faults, with one TP size that is a multiple of the node size,
+    the placement domains hold exactly the expected-value capacity (so a job
+    fits a domain plan exactly when it fits the count), and a non-preemptive
+    policy without look-ahead never moves a running job.  Packed and spread
+    must then schedule every job exactly as the expected-value model does.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cell=st.sampled_from(AGREE_CELLS),
+        raw_jobs=st.lists(placed_job, min_size=1, max_size=10),
+        policy_name=st.sampled_from(("fifo", "smallest-first", "shortest-remaining")),
+        backfill=st.booleans(),
+        horizon=st.sampled_from((None, 48.0)),
+    )
+    def test_placed_reports_equal_expected_value(
+        self, cell, raw_jobs, policy_name, backfill, horizon
+    ):
+        arch, tp_size, n_nodes = cell
+        max_groups = arch.usable_gpus(n_nodes, frozenset(), tp_size) // tp_size
+        jobs = [
+            JobSpec(
+                name=f"job-{i}",
+                gpus=min(groups, max_groups) * tp_size,
+                tp_size=tp_size,
+                work_hours=work,
+                submit_hour=submit,
+            )
+            for i, (groups, work, submit) in enumerate(raw_jobs)
+        ]
+        timeline = quiet_timeline(n_nodes=n_nodes)
+        reports = [
+            ClusterScheduler(
+                arch,
+                timeline,
+                jobs,
+                policy=policy_by_name(policy_name),
+                horizon_hours=horizon,
+                placement=placement,
+                backfill=backfill,
+            ).run()
+            for placement in (None, *PLACEMENT_NAMES)
+        ]
+        expected, *placed = reports
+        for report in placed:
+            assert report.jobs == expected.jobs
