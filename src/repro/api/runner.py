@@ -63,12 +63,7 @@ from repro.cache import ResultCache, content_key
 from repro.faults.timeline import IntervalTimeline
 from repro.hbd.base import HBDArchitecture
 from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
-from repro.scheduler import (
-    ClusterReport,
-    ClusterScheduler,
-    PlacementPolicy,
-    placement_by_name,
-)
+from repro.scheduler import ClusterReport, ClusterScheduler, PlacementPolicy, placement_by_name
 from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
