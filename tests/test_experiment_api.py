@@ -32,6 +32,8 @@ from repro.cache import ResultCache
 from repro.hbd import NVLHBD, architecture_by_name, list_architectures
 from repro.hbd.registry import DEFAULT_LINEUP
 from repro.mc import TraceBatch
+from repro.simulation.cluster import replay_intervals
+from repro.simulation.goodput import GoodputConfig, GoodputSimulator
 
 
 def small_spec(experiments=("waste",), **scenario_overrides):
@@ -390,6 +392,89 @@ class TestSharedCells:
             assert (got.experiment, got.tp_size) == (want.experiment, want.tp_size)
             assert got.metrics == want.metrics
             assert got.series == want.series
+
+
+class TestScalarReference:
+    """Single-seed capacity and goodput rows equal the scalar reference.
+
+    The runner is the one path to the fault-resilience figures, so each row
+    must equal, bit for bit, the ``replay_intervals`` aggregate or the
+    one-job ``GoodputSimulator`` report (computing its own capacity) on the
+    same trace.
+    """
+
+    TP_SIZES = (8, 32)
+    JOB_SCALES = (512, 1024, 1088)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        spec = ExperimentSpec.of(
+            scenario=Scenario.default(
+                "reference",
+                trace=TraceSpec(days=30, seed=348),
+                tp_sizes=self.TP_SIZES,
+                n_nodes=288,
+                job_gpus=1024,
+                availability=0.99,
+            ),
+            experiments=("waste", "max_job_scale", "fault_waiting", "goodput"),
+            options={"fault_waiting": {"job_scales": list(self.JOB_SCALES)}},
+            max_workers=1,
+        )
+        return spec.scenario, ExperimentRunner(spec).run()
+
+    @pytest.mark.parametrize("tp_size", TP_SIZES)
+    @pytest.mark.parametrize("name", DEFAULT_LINEUP)
+    def test_rows_equal_the_scalar_reference(self, reference, name, tp_size):
+        scenario, results = reference
+        architecture = architecture_by_name(name, gpus_per_node=4)
+        trace = scenario.trace.build()
+        series = replay_intervals(architecture, trace.interval_timeline(288), tp_size)
+
+        def row(experiment):
+            (found,) = results.filter(experiment, architecture.name, tp_size)
+            return found
+
+        waste = row("waste")
+        assert waste.metrics_dict == {
+            "mean_waste_ratio": series.mean_waste_ratio,
+            "p99_waste_ratio": series.p99_waste_ratio,
+            "min_usable_gpus": series.min_usable_gpus,
+            "total_gpus": series.total_gpus,
+        }
+        assert waste.series_dict == {
+            "times_days": tuple(series.times_days),
+            "durations_hours": tuple(series.durations_hours),
+            "waste_ratios": tuple(series.waste_ratios),
+            "usable_gpus": tuple(series.usable_gpus),
+        }
+        assert row("max_job_scale").metrics_dict == {
+            "max_job_scale": series.supported_job_scale(0.99),
+            "availability": 0.99,
+            "total_gpus": series.total_gpus,
+        }
+        waiting = row("fault_waiting")
+        assert waiting.metrics_dict == {
+            "fault_waiting_rate": series.fault_waiting_rate(1024),
+            "job_gpus": 1024,
+        }
+        assert waiting.series_dict == {
+            "job_scales": self.JOB_SCALES,
+            "waiting_rates": tuple(series.fault_waiting_rate(s) for s in self.JOB_SCALES),
+        }
+        report = GoodputSimulator(
+            architecture, trace, GoodputConfig(job_gpus=1024, tp_size=tp_size), n_nodes=288
+        ).run()
+        assert row("goodput").metrics_dict == {
+            "goodput": report.goodput,
+            "waiting_fraction": report.waiting_fraction,
+            "job_impacting_faults": report.job_impacting_faults,
+            "productive_hours": report.productive_hours,
+            "waiting_hours": report.waiting_hours,
+            "restart_hours": report.restart_hours,
+            "total_hours": report.total_hours,
+            "job_gpus": 1024,
+        }
 
 
 class TestFailFast:
