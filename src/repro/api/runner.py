@@ -246,8 +246,7 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
         ]
         out_series = {}
     else:  # fault_waiting
-        options = spec.options_for("fault_waiting")
-        job_scales = [int(s) for s in options.get("job_scales", [scenario.job_gpus])]
+        job_scales = _fault_waiting_scales(spec)
         rates = batch_series.fault_waiting_rates(scenario.job_gpus)
         per_seed = [
             {"fault_waiting_rate": rates[i], "job_gpus": scenario.job_gpus}
@@ -264,6 +263,24 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
             experiment, scenario.name, architecture.name, tp_size, metrics, out_series
         ).to_dict()
     ]
+
+
+def _fault_waiting_scales(spec: ExperimentSpec) -> list[int]:
+    """The fault_waiting ``job_scales``; a bad one raises naming it.
+
+    The option is a list, and every entry must be a positive whole number of
+    GPUs.
+    """
+    job_scales = spec.options_for("fault_waiting").get("job_scales", [spec.scenario.job_gpus])
+    if not isinstance(job_scales, (list, tuple)):
+        raise ValueError(f"fault_waiting option 'job_scales' must be a list, got {job_scales!r}")
+    for scale in job_scales:
+        whole = isinstance(scale, int) or (isinstance(scale, float) and scale.is_integer())
+        if isinstance(scale, bool) or not whole or scale < 1:
+            raise ValueError(
+                f"fault_waiting option 'job_scales': {scale!r} is not a positive whole number"
+            )
+    return [int(scale) for scale in job_scales]
 
 
 def _goodput_config(spec: ExperimentSpec, tp_size: int) -> GoodputConfig:
@@ -489,6 +506,26 @@ def _run_blast_radius_task(
     return rows
 
 
+def _cross_tor_methods(spec: ExperimentSpec) -> list[str]:
+    """The cross_tor ``methods``; a bad one raises naming it.
+
+    The option is a list, and every entry must name a method
+    :meth:`~repro.core.orchestrator.Orchestrator.place` accepts.
+    """
+    from repro.core.orchestrator import _PLACE_METHODS
+
+    methods = spec.options_for("cross_tor").get("methods", ["greedy", "optimized"])
+    if not isinstance(methods, (list, tuple)):
+        raise ValueError(f"cross_tor option 'methods' must be a list, got {methods!r}")
+    for method in methods:
+        if method not in _PLACE_METHODS:
+            raise ValueError(
+                f"cross_tor option 'methods': unknown method {method!r}; "
+                f"known: {list(_PLACE_METHODS)}"
+            )
+    return list(methods)
+
+
 def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     import numpy as np
 
@@ -537,23 +574,28 @@ def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> lis
     ]
 
 
+def _mfu_model(spec: ExperimentSpec) -> str:
+    """The mfu ``model``, ``llama`` or ``moe``; another one raises naming it."""
+    model = spec.options_for("mfu").get("model", "llama")
+    if model not in ("llama", "moe"):
+        raise ValueError(f"mfu option 'model': unknown model {model!r}; known: ['llama', 'moe']")
+    return str(model)
+
+
 def _run_mfu_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     from repro.training.models import gpt_moe_1t, llama31_405b
     from repro.training.parallelism import search_optimal_strategy
 
     scenario = spec.scenario
     options = spec.options_for("mfu")
-    model_name = str(options.get("model", "llama"))
-    if model_name == "llama":
+    if _mfu_model(spec) == "llama":
         model = llama31_405b()
         global_batch = int(options.get("global_batch") or 2048)
         ep_choices: Sequence[int] = (1,)
-    elif model_name == "moe":
+    else:
         model = gpt_moe_1t()
         global_batch = int(options.get("global_batch") or 1536)
         ep_choices = (1, 2, 4, 8)
-    else:
-        raise ValueError(f"unknown mfu model {model_name!r}; known: ['llama', 'moe']")
     result = search_optimal_strategy(
         model,
         int(options.get("gpus", 8192)),
@@ -721,10 +763,7 @@ class ExperimentRunner:
                             "tp_size": tp,
                         })
             elif experiment == "cross_tor":
-                methods = spec.options_for("cross_tor").get(
-                    "methods", ["greedy", "optimized"]
-                )
-                for method in methods:
+                for method in _cross_tor_methods(spec):
                     payloads.append({
                         "spec": spec_dict,
                         "experiment": experiment,
@@ -779,9 +818,11 @@ class ExperimentRunner:
         once, so unknown names and bad parameters raise before the cache is
         read or a trace is built; checks the goodput job at every TP size;
         checks that the scheduling experiments have a job queue; and parses
-        the ``blast_radius`` placements and correlations.  This
-        runs here rather than at spec parse time because plugin
-        architectures may register after a spec is parsed.
+        the ``fault_waiting`` job scales, the ``blast_radius`` placements and
+        correlations and the ``mfu`` model (:meth:`tasks` parses the
+        ``cross_tor`` methods).  This runs here rather than at spec parse
+        time because plugin architectures may register after a spec is
+        parsed.
         """
         scenario = self.spec.scenario
         experiments = self.spec.experiments
@@ -795,8 +836,12 @@ class ExperimentRunner:
             for experiment in experiments:
                 if experiment in _WORKLOAD_EXPERIMENTS:
                     raise ValueError(f"experiment {experiment!r} needs scenario.workload")
+        if "fault_waiting" in experiments:
+            _fault_waiting_scales(self.spec)
         if "blast_radius" in experiments:
             _blast_radius_options(self.spec)
+        if "mfu" in experiments:
+            _mfu_model(self.spec)
 
     def _task_cache_key(self, payload: Mapping[str, Any]) -> str:
         """Content key of one task: everything that determines its rows.

@@ -445,6 +445,10 @@ def greedy_placement(
 # --------------------------------------------------------------------------
 # High-level facade
 # --------------------------------------------------------------------------
+#: The ``method`` names :meth:`Orchestrator.place` accepts.
+_PLACE_METHODS = ("optimized", "greedy", "dcn_free")
+
+
 class Orchestrator:
     """Couples the deployment plan, the Fat-Tree and the traffic model."""
 
@@ -493,7 +497,7 @@ class Orchestrator:
                 satisfied=satisfied,
                 method="dcn_free",
             )
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}; known: {list(_PLACE_METHODS)}")
 
     def cross_tor_report(self, result: OrchestrationResult) -> CrossToRReport:
         """Cross-ToR traffic report for a placement."""
