@@ -1,43 +1,47 @@
 """Figures 13 and 21: CDF of the GPU waste ratio over the production-style trace.
 
-Replays the 348-day 4-GPU-node fault trace on a 2,880-GPU cluster for every
-HBD architecture (event-driven over the exact interval timeline) and reports
-the exact duration-weighted mean / p50 / p99 waste ratio per TP size (the
-CDFs of Figures 13 and 21 summarised by their quantiles).
+Runs through the Unified Experiment API: one declarative ``waste`` spec
+replays the 348-day 4-GPU-node fault trace on a 2,880-GPU cluster for every
+HBD architecture and TP size (event-driven over one shared exact interval
+timeline) and reports the exact duration-weighted mean / p50 / p99 waste
+ratio per TP size (the CDFs of Figures 13 and 21 summarised by their
+quantiles).  The p50 is read off each row's step series.
 """
 
 from conftest import SIM_NODES_4GPU, TP_SIZES, emit_report, format_table
 
-from repro.hbd import default_architectures
-from repro.simulation.sweeps import architecture_comparison_over_trace
+from repro.analysis import weighted_quantile
+from repro.api import ExperimentRunner, ExperimentSpec, Scenario, TraceSpec
 
 
-def _run(trace_4gpu, tp_size):
-    return architecture_comparison_over_trace(
-        default_architectures(4), trace_4gpu, tp_size=tp_size, n_nodes=SIM_NODES_4GPU
+def _spec():
+    return ExperimentSpec.of(
+        scenario=Scenario.default(
+            "fig13",
+            trace=TraceSpec(days=348, seed=348, gpus_per_node=4),
+            tp_sizes=TP_SIZES,
+            n_nodes=SIM_NODES_4GPU,
+        ),
+        experiments=("waste",),
     )
 
 
-def test_fig13_waste_cdf(benchmark, trace_4gpu):
-    all_results = {}
-
-    def run_all():
-        for tp in TP_SIZES:
-            all_results[tp] = _run(trace_4gpu, tp)
-        return all_results
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_fig13_waste_cdf(benchmark):
+    spec = _spec()
+    spec.scenario.trace.build()  # time the sweep, not trace generation
+    results = benchmark.pedantic(ExperimentRunner(spec).run, rounds=1, iterations=1)
 
     sections = []
-    for tp, results in all_results.items():
+    for tp in TP_SIZES:
         rows = []
-        for name, series in results.items():
+        for row in results.filter("waste", tp_size=tp):
+            series = row.series_dict
             rows.append(
                 [
-                    name,
-                    series.mean_waste_ratio,
-                    series.waste_ratio_quantile(0.50),
-                    series.p99_waste_ratio,
+                    row.architecture,
+                    row.metric("mean_waste_ratio"),
+                    weighted_quantile(series["waste_ratios"], series["durations_hours"], 0.5),
+                    row.metric("p99_waste_ratio"),
                 ]
             )
         sections.append(
@@ -48,11 +52,11 @@ def test_fig13_waste_cdf(benchmark, trace_4gpu):
 
     # Headline shape for TP-32 (Figure 13b): InfiniteHBD ~near-zero, far below
     # NVL-72 and TPUv4; K=2 tracks K=3; K=3 tracks the Big-Switch ideal.
-    tp32 = all_results[32]
-    inf3 = tp32["InfiniteHBD(K=3)"].mean_waste_ratio
-    inf2 = tp32["InfiniteHBD(K=2)"].mean_waste_ratio
+    mean = results.metric_table("waste", "mean_waste_ratio")
+    inf3 = mean["InfiniteHBD(K=3)"][32]
+    inf2 = mean["InfiniteHBD(K=2)"][32]
     assert inf3 < 0.01
-    assert abs(inf3 - tp32["Big-Switch"].mean_waste_ratio) < 0.002
+    assert abs(inf3 - mean["Big-Switch"][32]) < 0.002
     assert inf2 - inf3 < 0.01
-    assert tp32["NVL-72"].mean_waste_ratio > 5 * max(inf3, 1e-6)
-    assert tp32["TPUv4"].mean_waste_ratio > 3 * max(inf3, 1e-6)
+    assert mean["NVL-72"][32] > 5 * max(inf3, 1e-6)
+    assert mean["TPUv4"][32] > 3 * max(inf3, 1e-6)

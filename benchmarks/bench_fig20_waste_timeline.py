@@ -1,32 +1,59 @@
 """Figure 20: GPU waste ratio over the 348-day trace (timeline summary).
 
-Replayed event-driven over the exact interval timeline; the per-quarter
-summaries are exact duration-weighted means over each quarter's window
-instead of equal-weight means over daily samples.
+Runs through the Unified Experiment API: one ``waste`` spec at TP-32 replays
+the trace event-driven over the exact interval timeline, and each row's step
+series (interval start days, durations, waste ratios) is the timeline.  The
+per-quarter summaries are exact duration-weighted means over each quarter's
+window instead of equal-weight means over daily samples.
 """
 
 from conftest import SIM_NODES_4GPU, emit_report, format_table
 
-from repro.hbd import default_architectures
-from repro.simulation.cluster import ClusterSimulator
+from repro.api import ExperimentRunner, ExperimentSpec, Scenario, TraceSpec
+from repro.faults.trace import HOURS_PER_DAY
+from repro.simulation.cluster import IntervalSeries
 
 TP_SIZE = 32
 QUARTERS = 4
 
 
-def _run(trace_4gpu):
-    timelines = {}
-    for arch in default_architectures(4):
-        series = ClusterSimulator(arch, trace_4gpu, n_nodes=SIM_NODES_4GPU).run(TP_SIZE)
-        timelines[arch.name] = series
-    return timelines
+def _spec():
+    return ExperimentSpec.of(
+        scenario=Scenario.default(
+            "fig20",
+            trace=TraceSpec(days=348, seed=348, gpus_per_node=4),
+            tp_sizes=(TP_SIZE,),
+            n_nodes=SIM_NODES_4GPU,
+        ),
+        experiments=("waste",),
+    )
 
 
-def test_fig20_waste_timeline(benchmark, trace_4gpu):
-    timelines = benchmark.pedantic(_run, rounds=1, iterations=1, args=(trace_4gpu,))
+def _timeline(row):
+    """The row's step series as an :class:`IntervalSeries`, for its window means.
 
-    total_days = trace_4gpu.duration_days
-    quarter_days = total_days / QUARTERS
+    The trace is day-granular, so every interval starts on a whole hour and
+    the start hours and end hours rebuild exactly.
+    """
+    series = row.series_dict
+    starts = [day * HOURS_PER_DAY for day in series["times_days"]]
+    return IntervalSeries(
+        starts_hours=starts,
+        ends_hours=[s + d for s, d in zip(starts, series["durations_hours"], strict=True)],
+        waste_ratios=list(series["waste_ratios"]),
+        usable_gpus=list(series["usable_gpus"]),
+        faulty_gpus=[],  # not in the row, and no window mean reads it
+        total_gpus=row.metric("total_gpus"),
+    )
+
+
+def test_fig20_waste_timeline(benchmark):
+    spec = _spec()
+    spec.scenario.trace.build()  # time the sweep, not trace generation
+    results = benchmark.pedantic(ExperimentRunner(spec).run, rounds=1, iterations=1)
+    timelines = {row.architecture: _timeline(row) for row in results}
+
+    quarter_days = spec.scenario.trace.days / QUARTERS
     rows = []
     for name, series in timelines.items():
         quarter_means = [
