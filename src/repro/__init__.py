@@ -46,8 +46,8 @@ The same spec runs from the shell: save ``spec.to_json()`` to a file and
 ``python -m repro.cli run --spec spec.json --output results.json``.  New HBD
 variants plug in by name through the registry (see :mod:`repro.api.registry`)
 without touching core code; the lower-level building blocks
-(:class:`ClusterSimulator`, the architecture classes, the fault substrate)
-remain importable for bespoke studies.
+(:func:`repro.simulation.replay_intervals`, the architecture classes, the
+fault substrate) remain importable for bespoke studies.
 """
 
 from repro.core import (
@@ -86,7 +86,6 @@ from repro.faults import (
     generate_synthetic_trace,
     convert_trace_8gpu_to_4gpu,
 )
-from repro.simulation import ClusterSimulator
 from repro.training import (
     MFUSimulator,
     ParallelismConfig,
@@ -129,7 +128,6 @@ __all__ = [
     "FaultTrace",
     "generate_synthetic_trace",
     "convert_trace_8gpu_to_4gpu",
-    "ClusterSimulator",
     "MFUSimulator",
     "ParallelismConfig",
     "HardwareSpec",

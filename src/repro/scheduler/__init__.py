@@ -27,7 +27,7 @@ The single-job goodput replay (:class:`repro.simulation.goodput.
 GoodputSimulator`) is a thin wrapper over this engine.
 """
 
-from repro.scheduler.engine import ClusterScheduler, schedule_comparison
+from repro.scheduler.engine import ClusterScheduler
 from repro.scheduler.jobs import JobReport, JobSpec
 from repro.scheduler.placement import (
     PLACEMENT_NAMES,
@@ -71,5 +71,4 @@ __all__ = [
     "generate_workload",
     "placement_by_name",
     "policy_by_name",
-    "schedule_comparison",
 ]

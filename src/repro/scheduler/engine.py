@@ -1123,39 +1123,4 @@ class ClusterScheduler:
         )
 
 
-def schedule_comparison(
-    architectures: Sequence[HBDArchitecture],
-    timeline: IntervalTimeline,
-    jobs: Sequence[JobSpec],
-    policy: SchedulingPolicy | None = None,
-    horizon_hours: float | None = None,
-    placement: PlacementPolicy | str | None = None,
-    backfill: bool = False,
-) -> dict[str, ClusterReport]:
-    """Replay the same workload across several architectures.
-
-    >>> from repro.faults.trace import FaultTrace
-    >>> from repro.hbd import BigSwitchHBD, NVLHBD
-    >>> from repro.scheduler.jobs import JobSpec
-    >>> trace = FaultTrace(n_nodes=18, duration_days=1, events=[], gpus_per_node=4)
-    >>> reports = schedule_comparison(
-    ...     [BigSwitchHBD(4), NVLHBD(36, 4)], trace.interval_timeline(),
-    ...     [JobSpec(name="j", gpus=64, tp_size=32, work_hours=3.0)])
-    >>> sorted((name, report.finished_jobs) for name, report in reports.items())
-    [('Big-Switch', 1), ('NVL-36', 1)]
-    """
-    return {
-        arch.name: ClusterScheduler(
-            arch,
-            timeline,
-            jobs,
-            policy=policy,
-            horizon_hours=horizon_hours,
-            placement=placement,
-            backfill=backfill,
-        ).run()
-        for arch in architectures
-    }
-
-
-__all__ = ["ClusterScheduler", "schedule_comparison"]
+__all__ = ["ClusterScheduler"]

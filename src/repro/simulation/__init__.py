@@ -1,17 +1,18 @@
 """Trace-driven cluster simulation (section 6.2 metrics).
 
-:class:`repro.simulation.cluster.ClusterSimulator` replays a node-fault trace
-against an HBD architecture model and produces the fault-resilience metrics
-of the paper: GPU waste ratio over time and as a CDF, the maximum supported
-job scale, and the job fault-waiting rate.  Replays are event-driven over the
-exact interval timeline (:func:`repro.simulation.cluster.replay_intervals`).
-:mod:`repro.simulation.sweeps` provides the fault-ratio sweep counterparts
-(Figures 14 and 22) and the architecture comparison helpers used by the
-benchmark harness.
+:func:`repro.simulation.cluster.replay_intervals` replays the exact interval
+timeline of a node-fault trace against an HBD architecture model and returns
+an :class:`~repro.simulation.cluster.IntervalSeries`, whose exact
+duration-weighted aggregates are the fault-resilience metrics of the paper:
+GPU waste ratio over time and as a CDF, the maximum supported job scale, and
+the job fault-waiting rate.  :class:`~repro.simulation.goodput.
+GoodputSimulator` replays one training job against the same timeline.  The
+paper's trace-driven figures run both through :class:`repro.api.
+ExperimentRunner`; :mod:`repro.simulation.sweeps` provides the i.i.d.
+fault-ratio sweep (Figures 14 and 22).
 """
 
 from repro.simulation.cluster import (
-    ClusterSimulator,
     IntervalSeries,
     replay_intervals,
 )
@@ -19,7 +20,6 @@ from repro.simulation.goodput import (
     GoodputConfig,
     GoodputReport,
     GoodputSimulator,
-    goodput_comparison,
 )
 from repro.simulation.schedule_sim import (
     LinkMap,
@@ -29,29 +29,19 @@ from repro.simulation.schedule_sim import (
     ring_allreduce_schedule,
     simulate_degraded_ring,
 )
-from repro.simulation.sweeps import (
-    architecture_comparison_over_trace,
-    waste_ratio_vs_fault_ratio,
-    max_job_scale_comparison,
-    fault_waiting_comparison,
-)
+from repro.simulation.sweeps import waste_ratio_vs_fault_ratio
 
 __all__ = [
-    "ClusterSimulator",
     "IntervalSeries",
     "replay_intervals",
     "GoodputConfig",
     "GoodputReport",
     "GoodputSimulator",
-    "goodput_comparison",
     "LinkMap",
     "ScheduleSimulator",
     "Transfer",
     "binary_exchange_schedule",
     "ring_allreduce_schedule",
     "simulate_degraded_ring",
-    "architecture_comparison_over_trace",
     "waste_ratio_vs_fault_ratio",
-    "max_job_scale_comparison",
-    "fault_waiting_comparison",
 ]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.cdf import empirical_cdf
 from repro.faults.timeline import IntervalTimeline
-from repro.faults.trace import FaultTrace, HOURS_PER_DAY
+from repro.faults.trace import HOURS_PER_DAY
 from repro.hbd.base import HBDArchitecture, WasteBreakdown
 
 if TYPE_CHECKING:
@@ -184,43 +184,3 @@ def _check_gpus_per_node(architecture: HBDArchitecture, gpus_per_node: int) -> N
             f"architecture ({architecture.gpus_per_node})"
         )
 
-
-class ClusterSimulator:
-    """Replay a fault trace against one HBD architecture."""
-
-    def __init__(
-        self,
-        architecture: HBDArchitecture,
-        trace: FaultTrace,
-        n_nodes: int | None = None,
-    ) -> None:
-        if trace.gpus_per_node != architecture.gpus_per_node:
-            raise ValueError(
-                "trace GPUs/node "
-                f"({trace.gpus_per_node}) must match the architecture "
-                f"({architecture.gpus_per_node})"
-            )
-        self.architecture = architecture
-        self.n_nodes = n_nodes if n_nodes is not None else trace.n_nodes
-        if self.n_nodes > trace.n_nodes:
-            raise ValueError("simulated cluster larger than the fault trace")
-        # Keep the source trace: its per-size timeline cache is shared, so a
-        # whole architecture line-up replays one swept timeline.
-        self._source_trace = trace
-        self.trace = (
-            trace if self.n_nodes == trace.n_nodes else trace.restrict_nodes(self.n_nodes)
-        )
-
-    # --------------------------------------------------------------- running
-    def interval_timeline(self) -> IntervalTimeline:
-        """The exact interval timeline (swept once, cached on the source trace)."""
-        return self._source_trace.interval_timeline(self.n_nodes)
-
-    def run(self, tp_size: int) -> IntervalSeries:
-        """Exact event-driven replay for TP groups of ``tp_size`` GPUs."""
-        return replay_intervals(self.architecture, self.interval_timeline(), tp_size)
-
-    def breakdown_at(self, hour: float, tp_size: int) -> WasteBreakdown:
-        """Single-instant GPU accounting (useful for spot checks)."""
-        fault_set = self.trace.faulty_nodes_at(hour)
-        return self.architecture.breakdown(self.n_nodes, fault_set, tp_size)

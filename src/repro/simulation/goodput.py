@@ -187,15 +187,3 @@ class GoodputSimulator:
             job_impacting_faults=outcome.impacting_faults,
         )
 
-
-def goodput_comparison(
-    architectures: Sequence[HBDArchitecture],
-    trace: FaultTrace,
-    config: GoodputConfig,
-    n_nodes: int | None = None,
-) -> dict[str, GoodputReport]:
-    """Goodput of the same job across several architectures."""
-    return {
-        arch.name: GoodputSimulator(arch, trace, config, n_nodes=n_nodes).run()
-        for arch in architectures
-    }

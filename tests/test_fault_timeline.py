@@ -10,7 +10,7 @@ from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trac
 from repro.faults.timeline import FaultInterval, IntervalTimeline, sweep_intervals
 from repro.faults.trace import FaultEvent, FaultTrace, HOURS_PER_DAY
 from repro.hbd import BigSwitchHBD, InfiniteHBDArchitecture, NVLHBD
-from repro.simulation.cluster import ClusterSimulator, IntervalSeries, replay_intervals
+from repro.simulation.cluster import IntervalSeries, replay_intervals
 
 
 # --------------------------------------------------------------------------
@@ -319,7 +319,7 @@ class TestExactVsGridReplay:
 
     def test_exact_equals_daily_grid_on_day_granular_trace(self, trace):
         arch = InfiniteHBDArchitecture(k=2, gpus_per_node=4)
-        exact = ClusterSimulator(arch, trace, n_nodes=trace.n_nodes).run(32)
+        exact = replay_intervals(arch, trace.interval_timeline(), 32)
         grid = daily_grid_breakdowns(arch, trace, 32)
         grid_mean = sum(b.waste_ratio for b in grid) / len(grid)
         grid_min = min(b.usable_gpus for b in grid)
@@ -350,7 +350,7 @@ class TestExactVsGridReplay:
         events = [FaultEvent(node_id=0, start_hour=30.0, end_hour=31.0)]
         trace = FaultTrace(n_nodes=10, duration_days=4, events=events, gpus_per_node=4)
         arch = BigSwitchHBD(4)
-        exact = ClusterSimulator(arch, trace).run(4)
+        exact = replay_intervals(arch, trace.interval_timeline(), 4)
         grid = daily_grid_breakdowns(arch, trace, 4)
         assert min(b.usable_gpus for b in grid) == 40  # the grid never saw it
         assert exact.min_usable_gpus == 36             # the exact replay did

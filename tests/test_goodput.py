@@ -14,12 +14,7 @@ from repro.hbd import (
     list_architectures,
 )
 from repro.simulation.cluster import replay_intervals
-from repro.simulation.goodput import (
-    GoodputConfig,
-    GoodputReport,
-    GoodputSimulator,
-    goodput_comparison,
-)
+from repro.simulation.goodput import GoodputConfig, GoodputReport, GoodputSimulator
 
 
 @pytest.fixture(scope="module")
@@ -172,16 +167,14 @@ class TestGoodputComparison:
     def test_infinitehbd_goodput_at_least_nvl(self, trace4):
         """Fault isolation translates into equal or better goodput."""
         config = GoodputConfig(job_gpus=2560, tp_size=32)
-        reports = goodput_comparison(
-            [
+        reports = {
+            arch.name: GoodputSimulator(arch, trace4, config, n_nodes=720).run()
+            for arch in (
                 InfiniteHBDArchitecture(k=3, gpus_per_node=4),
                 NVLHBD(36, gpus_per_node=4),
                 SiPRingHBD(gpus_per_node=4),
-            ],
-            trace4,
-            config,
-            n_nodes=720,
-        )
+            )
+        }
         inf = reports["InfiniteHBD(K=3)"]
         assert inf.goodput >= reports["NVL-36"].goodput
         assert inf.goodput >= reports["SiP-Ring"].goodput

@@ -16,7 +16,7 @@ from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.model import sample_fault_set
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.hbd import InfiniteHBDArchitecture, NVLHBD, TPUv4HBD, default_architectures
-from repro.simulation.cluster import ClusterSimulator
+from repro.simulation.cluster import replay_intervals
 from repro.training.parallelism import optimal_mfu_table, search_optimal_strategy
 from repro.training.models import llama31_405b
 
@@ -35,17 +35,21 @@ class TestTraceToWastePipeline:
     """Synthetic trace -> conversion -> architecture replay (Figures 13/20)."""
 
     def test_full_pipeline_runs_for_all_architectures(self, trace4):
+        timeline = trace4.interval_timeline(720)
         for arch in default_architectures(4):
-            series = ClusterSimulator(arch, trace4, n_nodes=720).run(tp_size=32)
+            series = replay_intervals(arch, timeline, 32)
             assert series.total_hours == 60 * 24
 
     def test_headline_ordering_holds(self, trace4):
         """InfiniteHBD < TPUv4 < NVL-72 mean waste for TP-32 (Figure 13b)."""
-        infinite = ClusterSimulator(
-            InfiniteHBDArchitecture(k=3, gpus_per_node=4), trace4, n_nodes=720
-        ).run(32).mean_waste_ratio
-        tpu = ClusterSimulator(TPUv4HBD(gpus_per_node=4), trace4, n_nodes=720).run(32).mean_waste_ratio
-        nvl = ClusterSimulator(NVLHBD(72, gpus_per_node=4), trace4, n_nodes=720).run(32).mean_waste_ratio
+        timeline = trace4.interval_timeline(720)
+
+        def mean_waste(arch):
+            return replay_intervals(arch, timeline, 32).mean_waste_ratio
+
+        infinite = mean_waste(InfiniteHBDArchitecture(k=3, gpus_per_node=4))
+        tpu = mean_waste(TPUv4HBD(gpus_per_node=4))
+        nvl = mean_waste(NVLHBD(72, gpus_per_node=4))
         assert infinite < tpu < nvl
 
 

@@ -32,7 +32,6 @@ from repro.scheduler import (
     WorkloadConfig,
     generate_workload,
     policy_by_name,
-    schedule_comparison,
 )
 from repro.scheduler.policies import (
     POLICY_NAMES,
@@ -408,18 +407,6 @@ class TestEngineBasics:
                 ClusterScheduler(
                     BigSwitchHBD(4), timeline, jobs, usable_gpus={4: wrong}
                 )
-
-    def test_schedule_comparison_covers_architectures(self):
-        trace = quiet_trace()
-        jobs = [JobSpec(name="a", gpus=8, tp_size=4, work_hours=5.0)]
-        reports = schedule_comparison(
-            [BigSwitchHBD(4), InfiniteHBDArchitecture(k=2, gpus_per_node=4)],
-            trace.interval_timeline(),
-            jobs,
-        )
-        assert set(reports) == {"Big-Switch", "InfiniteHBD(K=2)"}
-        for report in reports.values():
-            assert report.all_finished
 
 
 class TestClusterReport:
