@@ -563,40 +563,39 @@ class TestFailFast:
         self.assert_rejected_before_any_replay(monkeypatch, "blast_radius", options, match)
 
     @pytest.mark.parametrize(
-        ("options", "match"),
+        ("experiment", "options", "match"),
         [
-            ({"job_scales": "256"}, "fault_waiting option 'job_scales' must be a list, got '256'"),
             (
+                "fault_waiting",
+                {"job_scales": "256"},
+                "fault_waiting option 'job_scales' must be a list, got '256'",
+            ),
+            (
+                "fault_waiting",
                 {"job_scales": [512, 0]},
                 "fault_waiting option 'job_scales': 0 is not a positive whole number",
             ),
             (
+                "fault_waiting",
                 {"job_scales": [2560.5]},
                 r"fault_waiting option 'job_scales': 2560\.5 is not a positive whole number",
             ),
-        ],
-        ids=["job-scales-not-a-list", "zero-job-scale", "fractional-job-scale"],
-    )
-    def test_bad_fault_waiting_options_rejected_before_any_replay(
-        self, monkeypatch, options, match
-    ):
-        self.assert_rejected_before_any_replay(monkeypatch, "fault_waiting", options, match)
-
-    @pytest.mark.parametrize(
-        ("experiment", "options", "match"),
-        [
             (
                 "cross_tor",
                 {"methods": ["greddy"]},
                 "cross_tor option 'methods': unknown method 'greddy'",
             ),
-            ("cross_tor", {"methods": "greedy"},
-             "cross_tor option 'methods' must be a list, got 'greedy'"),
+            (
+                "cross_tor",
+                {"methods": "greedy"},
+                "cross_tor option 'methods' must be a list, got 'greedy'",
+            ),
             ("mfu", {"model": "lama"}, "mfu option 'model': unknown model 'lama'"),
         ],
-        ids=["unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model"],
+        ids=["job-scales-not-a-list", "zero-job-scale", "fractional-job-scale",
+             "unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model"],
     )
-    def test_bad_cross_tor_and_mfu_options_rejected_before_any_replay(
+    def test_bad_options_rejected_before_any_replay(
         self, monkeypatch, experiment, options, match
     ):
         self.assert_rejected_before_any_replay(monkeypatch, experiment, options, match)
