@@ -20,6 +20,7 @@ from repro.faults.events import (
     EVENT_DTYPE,
     ColumnarIntervals,
     columnar_event_log,
+    event_log_from_columns,
     event_log_from_intervals,
 )
 from repro.faults.timeline import (
@@ -54,6 +55,7 @@ __all__ = [
     "EVENT_DTYPE",
     "ColumnarIntervals",
     "columnar_event_log",
+    "event_log_from_columns",
     "event_log_from_intervals",
     "FaultInterval",
     "IntervalTimeline",

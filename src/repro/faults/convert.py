@@ -12,14 +12,17 @@ derives the conversion as follows:
    ``P(4-GPU | 8-GPU) = P(4-GPU) / P(8-GPU) = 50.21%``.
 3. Every event of the original trace is therefore mapped to zero, one or two
    events on the corresponding 4-GPU nodes by two independent coin flips.
+
+The conversion works on the trace's columns: all coins come out of one
+``rng.random`` draw, in event-then-half order, and the target columns are
+gathered where they land heads.
 """
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.faults.trace import FaultEvent, FaultTrace
+from repro.faults.trace import FaultTrace
 
 
 def per_gpu_fault_probability(node_fault_ratio: float, gpus_per_node: int) -> float:
@@ -78,27 +81,22 @@ def convert_trace_8gpu_to_4gpu(
         raise ValueError("convert_trace_8gpu_to_4gpu expects an 8-GPU-node trace")
     rng = np.random.default_rng(seed)
     if mean_node_fault_ratio is None:
-        mean_node_fault_ratio = trace.statistics().mean_fault_ratio
+        mean_node_fault_ratio = trace.interval_timeline().mean_fault_ratio()
     p_convert = conversion_probability(
         source_node_ratio=mean_node_fault_ratio,
         source_gpus_per_node=8,
         target_gpus_per_node=4,
     )
 
-    events: list[FaultEvent] = []
-    for event in trace.events:
-        for half in (0, 1):
-            if rng.random() < p_convert:
-                events.append(
-                    FaultEvent(
-                        node_id=event.node_id * 2 + half,
-                        start_hour=event.start_hour,
-                        end_hour=event.end_hour,
-                    )
-                )
-    return FaultTrace(
-        n_nodes=trace.n_nodes * 2,
-        duration_days=trace.duration_days,
-        events=events,
+    # Coin ``2 * i + half`` decides whether target node ``2 * n + half``
+    # inherits source event ``i`` -- the order of a per-event, per-half loop.
+    coins = rng.random(2 * len(trace)) < p_convert
+    event, half = np.nonzero(coins.reshape(-1, 2))
+    return FaultTrace.from_columns(
+        trace.n_nodes * 2,
+        trace.duration_days,
+        trace.node_ids[event] * 2 + half,
+        trace.start_hours[event],
+        trace.end_hours[event],
         gpus_per_node=4,
     )

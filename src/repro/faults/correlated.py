@@ -25,10 +25,11 @@ structure on top of the independent trace:
    repair logs; the parameters are fittable from an ingested CSV trace via
    :mod:`repro.faults.calibrate`.
 
-The output is an ordinary :class:`~repro.faults.trace.FaultTrace` of
-per-node :class:`~repro.faults.trace.FaultEvent` records: the columnar event
-log, the sweep-line timeline, the Monte-Carlo batch engine, cache keys and
-the scheduler all consume correlated traces unchanged.  At
+The output is an ordinary :class:`~repro.faults.trace.FaultTrace`: the
+overlay appends one row per node of every outage to the base trace's
+columns, so the columnar event log, the sweep-line timeline, the
+Monte-Carlo batch engine, cache keys and the scheduler all consume
+correlated traces unchanged.  At
 ``correlation=0`` the generator *is* the independent generator -- it returns
 ``generate_synthetic_trace(config.base)`` verbatim, event for event.
 """
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
-from repro.faults.trace import HOURS_PER_DAY, FaultEvent, FaultTrace
+from repro.faults.trace import HOURS_PER_DAY, FaultTrace
 
 #: Seed-stream tag for the correlated overlay, so the overlay draws never
 #: perturb the base generator's stream (correlation=0 stays byte-identical).
@@ -219,9 +220,9 @@ def correlated_trace_with_outages(
 ) -> tuple[FaultTrace, tuple[DomainOutage, ...]]:
     """Generate the correlated trace plus its domain-outage ground truth.
 
-    The returned trace merges the independent base trace with one per-node
-    :class:`~repro.faults.trace.FaultEvent` for every node of every domain
-    outage; the outage tuple is the generator's own record of which events
+    The returned trace appends to the independent base trace's columns one
+    row (node, start, end) for every node of every domain outage; the
+    outage tuple is the generator's own record of which events
     were correlated (used by blast-radius studies and the property tests).
 
     Determinism: the overlay draws from a dedicated seed stream
@@ -247,16 +248,19 @@ def correlated_trace_with_outages(
                 raise ValueError(f"domain node {node} outside cluster of {config.base.n_nodes}")
     rng = np.random.default_rng((config.base.seed, _OVERLAY_STREAM))
     outages = sample_domain_outages(config, domains, rng)
-    events = list(base.events)
-    for outage in outages:
-        events.extend(
-            FaultEvent(node_id=node, start_hour=outage.start_hour, end_hour=outage.end_hour)
-            for node in outage.nodes
-        )
-    trace = FaultTrace(
-        n_nodes=config.base.n_nodes,
-        duration_days=config.base.duration_days,
-        events=events,
+    # Each outage appends one row per node of its domain, after the base rows.
+    sizes = [len(outage.nodes) for outage in outages]
+    outage_nodes = np.fromiter(
+        (node for outage in outages for node in outage.nodes), dtype=np.int64, count=sum(sizes)
+    )
+    outage_starts = np.repeat([outage.start_hour for outage in outages], sizes)
+    outage_ends = np.repeat([outage.end_hour for outage in outages], sizes)
+    trace = FaultTrace.from_columns(
+        config.base.n_nodes,
+        config.base.duration_days,
+        np.concatenate((base.node_ids, outage_nodes)),
+        np.concatenate((base.start_hours, outage_starts)),
+        np.concatenate((base.end_hours, outage_ends)),
         gpus_per_node=config.base.gpus_per_node,
     )
     return trace, tuple(outages)

@@ -22,6 +22,12 @@ same node are unioned into maximal downtime runs before emission, so
 
 Records are sorted by ``(time, node, kind)``.  The array is shared
 zero-copy between consumers -- treat it as immutable.
+
+One vectorized normalizer, :func:`event_log_from_columns`, builds the log
+from per-fault ``(node, start, end)`` columns: a trace's own columns in
+``IntervalTimeline.from_trace``, a seed's sampled block in
+:func:`repro.mc.batch.sample_trace_batch`.  :func:`columnar_event_log`
+wraps it for a ``FaultEvent`` list.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from repro.faults.trace import FaultEvent
 
@@ -44,48 +50,64 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 EVENT_DTYPE = np.dtype([("time", np.float64), ("node", np.int64), ("kind", np.int8)])
 
 
-def _log_from_runs(
-    node_ids: list[int], starts: list[float], ends: list[float], duration_hours: float
+def event_log_from_columns(
+    node_ids: ArrayLike,
+    start_hours: ArrayLike,
+    end_hours: ArrayLike,
+    duration_hours: float,
 ) -> NDArray[np.void]:
-    """Normalized event log from clipped per-event downtime runs.
+    """The normalized event log of per-fault downtime columns.
 
-    The runs may overlap or touch per node; they are unioned into maximal
-    disjoint windows first, exactly matching the open-counter semantics of
-    the original sweep (a node is faulty while *any* run covers it).
+    Runs are clipped to ``[0, duration_hours)`` and empty ones dropped; the
+    rest may overlap or touch per node and are unioned into maximal disjoint
+    windows, matching the open-counter semantics of the original sweep (a
+    node is faulty while *any* run covers it).  See the module docstring
+    for the normalization guarantees.
+
+    >>> log = event_log_from_columns([1, 1, 0], [0.0, 5.0, 2.0], [5.0, 8.0, 20.0], 10.0)
+    >>> [(float(t), int(n), int(k)) for t, n, k in log.tolist()]
+    [(0.0, 1, 1), (2.0, 0, 1), (8.0, 1, -1)]
     """
-    runs: dict[int, list[tuple[float, float]]] = {}
-    for node, start, end in zip(node_ids, starts, ends, strict=True):
-        runs.setdefault(node, []).append((start, end))
+    if duration_hours <= 0:
+        raise ValueError("duration_hours must be positive")
+    nodes = np.asarray(node_ids, dtype=np.int64)
+    starts = np.maximum(np.asarray(start_hours, dtype=np.float64), 0.0)
+    ends = np.minimum(np.asarray(end_hours, dtype=np.float64), duration_hours)
+    keep = ends > starts
+    nodes, starts, ends = nodes[keep], starts[keep], ends[keep]
+    order = np.lexsort((ends, starts, nodes))
+    nodes, starts, ends = nodes[order], starts[order], ends[order]
 
-    times: list[float] = []
-    nodes: list[int] = []
-    kinds: list[int] = []
-    for node in sorted(runs):
-        windows = sorted(runs[node])
-        merged_start, merged_end = windows[0]
-        merged: list[tuple[float, float]] = []
-        for start, end in windows[1:]:
-            if start <= merged_end:  # overlapping or touching: one outage
-                merged_end = max(merged_end, end)
-            else:
-                merged.append((merged_start, merged_end))
-                merged_start, merged_end = start, end
-        merged.append((merged_start, merged_end))
-        for start, end in merged:
-            times.append(start)
-            nodes.append(node)
-            kinds.append(1)
-            if end < duration_hours:
-                times.append(end)
-                nodes.append(node)
-                kinds.append(-1)
+    # Running maximum of the end times, restarted at every node: shift each
+    # node's integer end ranks above every earlier node's, so one global
+    # ``maximum.accumulate`` never carries a value across nodes and no float
+    # offset can round.
+    first = np.ones(len(nodes), dtype=bool)
+    first[1:] = nodes[1:] != nodes[:-1]
+    unique_ends, ranks = np.unique(ends, return_inverse=True)
+    shift = (np.cumsum(first) - 1) * len(unique_ends)
+    reach = unique_ends[np.maximum.accumulate(ranks + shift) - shift]
+    # A run opens a new window unless it starts at or before the reach of
+    # the same node's earlier runs (overlapping or touching: one outage).
+    opens = first.copy()
+    opens[1:] |= starts[1:] > reach[:-1]
+    last = np.ones(len(nodes), dtype=bool)
+    last[:-1] = opens[1:]
+    window_nodes = nodes[opens]
+    window_ends = reach[last]
+    closes = window_ends < duration_hours
 
+    times = np.concatenate((starts[opens], window_ends[closes]))
+    log_nodes = np.concatenate((window_nodes, window_nodes[closes]))
+    kinds = np.concatenate(
+        (np.ones(len(window_nodes), dtype=np.int8), np.full(int(closes.sum()), -1, dtype=np.int8))
+    )
+    order = np.lexsort((kinds, log_nodes, times))
     log = np.empty(len(times), dtype=EVENT_DTYPE)
-    log["time"] = times
-    log["node"] = nodes
-    log["kind"] = kinds
-    order = np.lexsort((log["kind"], log["node"], log["time"]))
-    return log[order]
+    log["time"] = times[order]
+    log["node"] = log_nodes[order]
+    log["kind"] = kinds[order]
+    return log
 
 
 def columnar_event_log(
@@ -94,23 +116,16 @@ def columnar_event_log(
     """The normalized columnar event log of a raw fault event list.
 
     Events are clipped to ``[0, duration_hours)``; empty and out-of-window
-    events are dropped.  See the module docstring for the normalization
-    guarantees.
+    events are dropped (see :func:`event_log_from_columns`).
     """
-    if duration_hours <= 0:
-        raise ValueError("duration_hours must be positive")
-    node_ids: list[int] = []
-    starts: list[float] = []
-    ends: list[float] = []
-    for event in events:
-        start = max(0.0, event.start_hour)
-        end = min(duration_hours, event.end_hour)
-        if end <= start:
-            continue
-        node_ids.append(event.node_id)
-        starts.append(start)
-        ends.append(end)
-    return _log_from_runs(node_ids, starts, ends, duration_hours)
+    ordered = list(events)
+    count = len(ordered)
+    return event_log_from_columns(
+        np.fromiter((e.node_id for e in ordered), dtype=np.int64, count=count),
+        np.fromiter((e.start_hour for e in ordered), dtype=np.float64, count=count),
+        np.fromiter((e.end_hour for e in ordered), dtype=np.float64, count=count),
+        duration_hours,
+    )
 
 
 def event_log_from_intervals(
@@ -190,5 +205,6 @@ __all__ = [
     "EVENT_DTYPE",
     "ColumnarIntervals",
     "columnar_event_log",
+    "event_log_from_columns",
     "event_log_from_intervals",
 ]

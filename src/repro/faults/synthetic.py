@@ -12,8 +12,10 @@ statistically equivalent one:
 2. Day-level node membership is made *sticky*: a node that is faulty today
    stays faulty tomorrow with a persistence probability derived from the mean
    repair time, and nodes are added / repaired to hit the daily target count.
-3. Contiguous runs of faulty days per node are merged into
-   :class:`~repro.faults.trace.FaultEvent` records.
+   Each day's membership is one row of a boolean (days x nodes) mask.
+3. Contiguous runs of faulty days per node become the trace's columns: a
+   run opens where the mask steps up along the days and closes where it
+   steps down, so no per-fault object is built.
 
 The result reproduces the marginal fault-ratio process (Figure 18) that all
 trace-driven experiments depend on.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.trace import FaultEvent, FaultTrace, HOURS_PER_DAY
+from repro.faults.trace import FaultTrace, HOURS_PER_DAY
 
 
 @dataclass(frozen=True)
@@ -102,79 +104,54 @@ def _daily_ratio_targets(config: SyntheticTraceConfig, rng: np.random.Generator)
 
 
 def generate_synthetic_trace(config: SyntheticTraceConfig | None = None) -> FaultTrace:
-    """Generate a synthetic node-fault trace matching ``config``'s statistics."""
+    """Generate a synthetic node-fault trace matching ``config``'s statistics.
+
+    The RNG draw order is fixed -- every golden and result digest depends
+    on it: the AR(1) targets first, then per day one persistence coin per
+    faulty node in ascending node order, then one ``choice`` over the
+    ascending survivors (a surplus) or the ascending healthy nodes (a
+    deficit).
+    """
     config = config if config is not None else SyntheticTraceConfig()
     rng = np.random.default_rng(config.seed)
     targets = _daily_ratio_targets(config, rng)
     persistence = 1.0 - 1.0 / config.mean_repair_days
 
-    faulty: set[int] = set()
-    membership: list[set[int]] = []
-    all_nodes = np.arange(config.n_nodes)
+    # Row ``day + 1`` is the day's faulty-node mask; the zero rows at both
+    # ends open every run on its first day and close it at the horizon.
+    membership = np.zeros((config.duration_days + 2, config.n_nodes), dtype=np.int8)
+    faulty = np.zeros(config.n_nodes, dtype=bool)
+    # ``np.rint`` rounds half to even, as ``round`` does.
+    target_counts = np.minimum(np.rint(targets * config.n_nodes), config.n_nodes)
+    for day, target_count in enumerate(target_counts.astype(np.int64).tolist()):
+        # Nodes repaired today (those that do not persist), one coin per
+        # faulty node in ascending order.
+        candidates = faulty.nonzero()[0]
+        survives = rng.random(candidates.size) < persistence
+        faulty[candidates[~survives]] = False
+        count = int(np.count_nonzero(survives))
 
-    for day in range(config.duration_days):
-        target_count = int(round(targets[day] * config.n_nodes))
-        target_count = min(target_count, config.n_nodes)
-
-        # Nodes repaired today (those that do not persist).  Iterate the
-        # fault set in sorted order so the node-to-draw pairing is a pure
-        # function of the seed, not of set-insertion history.
-        survivors = {
-            node for node in sorted(faulty) if rng.random() < persistence
-        }
-        faulty = survivors
-
-        if len(faulty) > target_count:
+        if count > target_count:
             # Repair surplus nodes (oldest-first is irrelevant for the
             # marginal statistics; repair uniformly at random).
-            surplus = len(faulty) - target_count
-            to_repair = rng.choice(sorted(faulty), size=surplus, replace=False)
-            faulty.difference_update(int(n) for n in to_repair)
-        elif len(faulty) < target_count:
-            healthy = np.setdiff1d(all_nodes, np.fromiter(faulty, dtype=int, count=len(faulty)))
-            needed = min(target_count - len(faulty), healthy.size)
-            if needed > 0:
-                new_faults = rng.choice(healthy, size=needed, replace=False)
-                faulty.update(int(n) for n in new_faults)
+            survivors = faulty.nonzero()[0]
+            faulty[rng.choice(survivors, size=count - target_count, replace=False)] = False
+        elif count < target_count:
+            healthy = (~faulty).nonzero()[0]
+            faulty[rng.choice(healthy, size=target_count - count, replace=False)] = True
+        membership[day + 1] = faulty
 
-        membership.append(set(faulty))
-
-    events = _membership_to_events(membership)
-    return FaultTrace(
-        n_nodes=config.n_nodes,
-        duration_days=config.duration_days,
-        events=events,
+    # Per node (rows of the transpose), a run opens where the mask steps
+    # 0 -> 1 and closes where it steps 1 -> 0, so the k-th open and the
+    # k-th close of every node pair up in ``np.nonzero``'s row-major order.
+    steps = np.diff(membership, axis=0).T
+    node_ids, start_days = np.nonzero(steps == 1)
+    _, end_days = np.nonzero(steps == -1)
+    return FaultTrace.from_columns(
+        config.n_nodes,
+        config.duration_days,
+        node_ids,
+        start_days * HOURS_PER_DAY,
+        end_days * HOURS_PER_DAY,
         gpus_per_node=config.gpus_per_node,
     )
-
-
-def _membership_to_events(membership: list[set[int]]) -> list[FaultEvent]:
-    """Merge per-day faulty membership into contiguous fault events."""
-    events: list[FaultEvent] = []
-    open_since: dict = {}
-    for day, members in enumerate(membership):
-        # Close events for nodes that recovered.
-        for node in list(open_since):
-            if node not in members:
-                events.append(
-                    FaultEvent(
-                        node_id=node,
-                        start_hour=open_since.pop(node) * HOURS_PER_DAY,
-                        end_hour=day * HOURS_PER_DAY,
-                    )
-                )
-        # Open events for newly faulty nodes.
-        for node in members:
-            if node not in open_since:
-                open_since[node] = day
-    horizon = len(membership)
-    for node, start_day in open_since.items():
-        events.append(
-            FaultEvent(
-                node_id=node,
-                start_hour=start_day * HOURS_PER_DAY,
-                end_hour=horizon * HOURS_PER_DAY,
-            )
-        )
-    events.sort(key=lambda e: (e.start_hour, e.node_id))
-    return events

@@ -36,6 +36,7 @@ from repro.analysis.cdf import left_sum, weighted_quantile
 from repro.faults.events import (
     ColumnarIntervals,
     columnar_event_log,
+    event_log_from_columns,
     event_log_from_intervals,
 )
 from repro.faults.trace import FaultEvent, FaultTrace
@@ -127,12 +128,19 @@ class IntervalTimeline:
         cls, trace: FaultTrace, n_nodes: int | None = None
     ) -> IntervalTimeline:
         nodes = n_nodes if n_nodes is not None else trace.n_nodes
+        if nodes < 1:
+            raise ValueError("n_nodes must be >= 1")
         if nodes > trace.n_nodes:
             raise ValueError("simulated cluster larger than the fault trace")
-        restricted = trace if nodes == trace.n_nodes else trace.restrict_nodes(nodes)
-        log = columnar_event_log(restricted.events, restricted.duration_hours)
+        keep = trace.node_ids < nodes
+        log = event_log_from_columns(
+            trace.node_ids[keep],
+            trace.start_hours[keep],
+            trace.end_hours[keep],
+            trace.duration_hours,
+        )
         timeline = cls(
-            intervals=intervals_from_event_log(log, restricted.duration_hours),
+            intervals=intervals_from_event_log(log, trace.duration_hours),
             n_nodes=nodes,
             gpus_per_node=trace.gpus_per_node,
         )

@@ -1,9 +1,17 @@
 """Fault trace data structures.
 
-A fault trace is a list of :class:`FaultEvent` records (node id, start time,
-end time) plus the number of nodes in the traced cluster and the trace
-duration, mirroring the schema described in Appendix A ("fault start time,
-fault end time, and the ID of the faulty node").
+A fault trace is a set of node faults (node id, start time, end time) plus
+the number of nodes in the traced cluster and the trace duration, mirroring
+the schema described in Appendix A ("fault start time, fault end time, and
+the ID of the faulty node").
+
+:class:`FaultTrace` stores the faults as three read-only numpy columns
+(``node_ids``, ``start_hours``, ``end_hours``) sorted by (start, node): the
+generator, the 8-to-4-GPU conversion, the correlated overlay and the
+columnar event log (:mod:`repro.faults.events`) all work on those columns.
+Per-fault :class:`FaultEvent` records are built only when a caller reads
+:attr:`FaultTrace.events`; a trace constructed from ``FaultEvent`` objects
+keeps them as given.
 
 :class:`FaultTrace` supports the queries the simulations need:
 
@@ -30,6 +38,7 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.timeline import IntervalTimeline
@@ -109,7 +118,17 @@ class TraceStatistics:
 
 
 class FaultTrace:
-    """A node-level fault trace over a fixed-size cluster."""
+    """A node-level fault trace over a fixed-size cluster.
+
+    The faults live in three read-only columns sorted by (start, node):
+    ``node_ids`` (int64), ``start_hours`` and ``end_hours`` (float64).
+
+    >>> trace = FaultTrace.from_columns(4, 1, [2, 0], [6.0, 6.0], [9.0, 12.0])
+    >>> trace.node_ids.tolist(), len(trace)
+    ([0, 2], 2)
+    >>> trace.events[0]
+    FaultEvent(node_id=0, start_hour=6.0, end_hour=12.0)
+    """
 
     def __init__(
         self,
@@ -118,24 +137,102 @@ class FaultTrace:
         events: Iterable[FaultEvent],
         gpus_per_node: int = 8,
     ) -> None:
+        ordered = sorted(events, key=lambda e: (e.start_hour, e.node_id))
+        count = len(ordered)
+        self._set_columns(
+            n_nodes,
+            duration_days,
+            gpus_per_node,
+            np.fromiter((e.node_id for e in ordered), dtype=np.int64, count=count),
+            np.fromiter((e.start_hour for e in ordered), dtype=np.float64, count=count),
+            np.fromiter((e.end_hour for e in ordered), dtype=np.float64, count=count),
+        )
+        # The caller's objects, kept so ``to_csv`` writes their values as given.
+        self._events: list[FaultEvent] | None = ordered
+
+    @classmethod
+    def from_columns(
+        cls,
+        n_nodes: int,
+        duration_days: float,
+        node_ids: ArrayLike,
+        start_hours: ArrayLike,
+        end_hours: ArrayLike,
+        gpus_per_node: int = 8,
+    ) -> FaultTrace:
+        """A trace from per-fault columns, in any order; builds no ``FaultEvent``.
+
+        The columns are sorted by (start, node) with a stable sort, so ties
+        keep their input order, and are checked with the messages of
+        :class:`FaultEvent` and the constructor.
+        """
+        nodes = np.asarray(node_ids, dtype=np.int64)
+        starts = np.asarray(start_hours, dtype=np.float64)
+        ends = np.asarray(end_hours, dtype=np.float64)
+        if nodes.ndim != 1 or not nodes.shape == starts.shape == ends.shape:
+            raise ValueError("node_ids, start_hours and end_hours must be 1-D and equally long")
+        if (nodes < 0).any():
+            raise ValueError("node_id must be non-negative")
+        if (ends < starts).any():
+            raise ValueError("end_hour must be >= start_hour")
+        order = np.lexsort((nodes, starts))
+        trace = cls.__new__(cls)
+        trace._set_columns(
+            n_nodes, duration_days, gpus_per_node, nodes[order], starts[order], ends[order]
+        )
+        trace._events = None
+        return trace
+
+    def _set_columns(
+        self,
+        n_nodes: int,
+        duration_days: float,
+        gpus_per_node: int,
+        node_ids: NDArray[np.int64],
+        start_hours: NDArray[np.float64],
+        end_hours: NDArray[np.float64],
+    ) -> None:
+        """Validate and store sorted columns (shared by both constructors)."""
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if duration_days <= 0:
             raise ValueError("duration_days must be positive")
+        outside = np.flatnonzero(node_ids >= n_nodes)
+        if outside.size:
+            raise ValueError(
+                f"event node {node_ids[outside[0]]} outside cluster of {n_nodes} nodes"
+            )
+        for column in (node_ids, start_hours, end_hours):
+            # TraceSpec.build memoizes traces per process: every consumer
+            # shares these arrays.
+            column.flags.writeable = False
         self.n_nodes = n_nodes
         self.duration_days = duration_days
         self.gpus_per_node = gpus_per_node
-        self.events: list[FaultEvent] = sorted(
-            events, key=lambda e: (e.start_hour, e.node_id)
-        )
-        for event in self.events:
-            if event.node_id >= n_nodes:
-                raise ValueError(
-                    f"event node {event.node_id} outside cluster of {n_nodes} nodes"
-                )
+        self.node_ids = node_ids
+        self.start_hours = start_hours
+        self.end_hours = end_hours
         # Lazily swept exact timelines, keyed by simulated cluster size so
         # every consumer of the same (trace, n_nodes) shares one sweep.
         self._interval_timelines: dict[int, IntervalTimeline] = {}
+
+    @property
+    def events(self) -> list[FaultEvent]:
+        """The faults as :class:`FaultEvent` records, sorted by (start, node).
+
+        Built once, on first read, for a trace made from columns.
+        """
+        if self._events is None:
+            self._events = [
+                FaultEvent(node_id=node, start_hour=start, end_hour=end)
+                for node, start, end in zip(
+                    self.node_ids.tolist(),
+                    self.start_hours.tolist(),
+                    self.end_hours.tolist(),
+                    strict=True,
+                )
+            ]
+        return self._events
 
     # ------------------------------------------------------------------ query
     @property
@@ -167,7 +264,8 @@ class FaultTrace:
         """Set of node ids faulty at time ``hour``."""
         if 0.0 <= hour < self.duration_hours:
             return set(self.interval_timeline().fault_set_at(hour))
-        return {e.node_id for e in self.events if e.active_at(hour)}
+        active = (self.start_hours <= hour) & (hour < self.end_hours)
+        return set(self.node_ids[active].tolist())
 
     def fault_ratio_at(self, hour: float) -> float:
         """Faulty-node ratio at time ``hour``."""
@@ -219,8 +317,8 @@ class FaultTrace:
         Every ratio statistic is exact: duration-weighted over the interval
         timeline, independent of any sampling grid.
         """
-        repairs = [e.duration_hours for e in self.events]
-        mean_repair = float(np.mean(repairs)) if repairs else 0.0
+        repairs = self.end_hours - self.start_hours
+        mean_repair = float(np.mean(repairs)) if len(repairs) else 0.0
         timeline = self.interval_timeline()
         return TraceStatistics(
             mean_fault_ratio=timeline.mean_fault_ratio(),
@@ -228,7 +326,7 @@ class FaultTrace:
             p99_fault_ratio=timeline.fault_ratio_quantile(0.99),
             max_fault_ratio=timeline.max_fault_ratio(),
             mean_repair_hours=mean_repair,
-            n_events=len(self.events),
+            n_events=len(self),
         )
 
     def restrict_nodes(self, n_nodes: int) -> FaultTrace:
@@ -240,11 +338,13 @@ class FaultTrace:
         """
         if n_nodes > self.n_nodes:
             raise ValueError("cannot restrict to more nodes than the trace has")
-        events = [e for e in self.events if e.node_id < n_nodes]
-        return FaultTrace(
-            n_nodes=n_nodes,
-            duration_days=self.duration_days,
-            events=events,
+        keep = self.node_ids < n_nodes
+        return FaultTrace.from_columns(
+            n_nodes,
+            self.duration_days,
+            self.node_ids[keep],
+            self.start_hours[keep],
+            self.end_hours[keep],
             gpus_per_node=self.gpus_per_node,
         )
 
@@ -328,10 +428,10 @@ class FaultTrace:
         )
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.node_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"FaultTrace(n_nodes={self.n_nodes}, days={self.duration_days}, "
-            f"events={len(self.events)})"
+            f"events={len(self)})"
         )

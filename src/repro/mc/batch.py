@@ -27,7 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.faults.events import EVENT_DTYPE, _log_from_runs
+from repro.faults.events import EVENT_DTYPE, event_log_from_columns
 from repro.faults.timeline import IntervalTimeline, intervals_from_event_log
 from repro.faults.trace import HOURS_PER_DAY
 
@@ -173,17 +173,10 @@ def sample_trace_batch(config: BatchTraceConfig) -> TraceBatch:
     node_block = rng.integers(0, config.n_nodes, size=shape)
     end_block = np.minimum(start_block + duration_block, duration_hours)
 
-    logs: list[NDArray[np.void]] = []
-    for row in range(config.n_seeds):
-        keep = end_block[row] > start_block[row]
-        logs.append(
-            _log_from_runs(
-                node_block[row][keep].tolist(),
-                start_block[row][keep].tolist(),
-                end_block[row][keep].tolist(),
-                duration_hours,
-            )
-        )
+    logs = [
+        event_log_from_columns(node_block[row], start_block[row], end_block[row], duration_hours)
+        for row in range(config.n_seeds)
+    ]
     offsets = np.zeros(config.n_seeds + 1, dtype=np.int64)
     np.cumsum([len(log) for log in logs], out=offsets[1:])
     return TraceBatch(
