@@ -21,11 +21,16 @@ Two tiers:
   the same entry can never produce a torn read: a reader sees either the
   old complete entry or the new complete entry.
 
-Every disk entry is self-verifying: it records the cache schema version,
-its own key, and the SHA-256 of its canonical row payload.  A load that
-finds anything wrong -- unparseable JSON, a truncated file, a schema or key
-mismatch, a row digest that does not match -- evicts the entry and reports
-a miss instead of crashing, so a corrupted cache degrades to recomputation.
+Every disk entry is self-verifying.  It is one line of canonical JSON
+header -- ``{"key", "package_version", "rows_sha256", "schema"}`` -- then a
+newline, then the rows' canonical JSON (which contains no raw newline), and
+``rows_sha256`` is the SHA-256 of those row bytes exactly as stored.  A
+load hashes the bytes it read, parses them once and hands the same text to
+the memory tier, so a disk hit serializes nothing.  A load that finds
+anything wrong -- an unparseable header or body, a truncated file, a schema
+or key mismatch, a row digest that does not match -- evicts the entry and
+reports a miss instead of crashing, so a corrupted cache degrades to
+recomputation.
 
 This module reads no wall clocks and draws no randomness: eviction is
 explicit (:func:`clear_disk_cache`) or LRU-capacity driven, never TTL
@@ -47,7 +52,8 @@ from typing import Any
 
 #: Bump when the on-disk entry layout changes; old entries become invisible
 #: (they live under their own ``v<N>`` directory) rather than misread.
-CACHE_SCHEMA_VERSION = 1
+#: Version 2: a header line, then the rows' canonical JSON.
+CACHE_SCHEMA_VERSION = 2
 
 #: The cache modes :class:`ResultCache` (and ``ExperimentSpec.cache``) accept.
 CACHE_MODES = ("off", "memory", "disk")
@@ -155,9 +161,11 @@ class ResultCache:
             return _parse_rows(text)
         if self.mode != "disk":
             return None
-        rows = self._load_disk(key)
-        if rows is not None:
-            self._remember(key, canonical_json(rows))
+        loaded = self._load_disk(key)
+        if loaded is None:
+            return None
+        rows, text = loaded
+        self._remember(key, text)
         return rows
 
     def put(self, key: str, rows: list[dict[str, Any]]) -> bool:
@@ -174,7 +182,7 @@ class ResultCache:
         text = canonical_json(rows)
         self._remember(key, text)
         if self.mode == "disk":
-            return self._store_disk(key, rows, text)
+            return self._store_disk(key, text)
         return True
 
     def entry_path(self, key: str) -> Path:
@@ -190,54 +198,58 @@ class ResultCache:
                 _MEMORY.popitem(last=False)
 
     # ------------------------------------------------------------ disk tier
-    def _load_disk(self, key: str) -> list[dict[str, Any]] | None:
+    def _load_disk(self, key: str) -> tuple[list[dict[str, Any]], str] | None:
         path = self.entry_path(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
-        try:
-            entry = json.loads(text)
-        except ValueError:
+        loaded = _parse_entry(key, data)
+        if loaded is None:
             _evict(path)
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != CACHE_SCHEMA_VERSION
-            or entry.get("key") != key
-        ):
-            _evict(path)
-            return None
-        rows = entry.get("rows")
-        expected = entry.get("rows_sha256")
-        if not isinstance(rows, list) or not isinstance(expected, str):
-            _evict(path)
-            return None
-        digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
-        if digest != expected:
-            _evict(path)
-            return None
-        return rows
+        return loaded
 
-    def _store_disk(self, key: str, rows: list[dict[str, Any]], text: str) -> bool:
-        entry = {
+    def _store_disk(self, key: str, text: str) -> bool:
+        header = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "package_version": _package_version(),
             "rows_sha256": hashlib.sha256(text.encode()).hexdigest(),
-            "rows": rows,
         }
         path = self.entry_path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(canonical_json(entry), encoding="utf-8")
+            tmp.write_bytes(f"{canonical_json(header)}\n{text}".encode())
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):
                 tmp.unlink()
             return False
         return True
+
+
+def _parse_entry(key: str, data: bytes) -> tuple[list[dict[str, Any]], str] | None:
+    """A disk entry's rows and their stored text; ``None`` if stale or corrupt."""
+    head, newline, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        return None
+    if (
+        not newline
+        or not isinstance(header, dict)
+        or header.get("schema") != CACHE_SCHEMA_VERSION
+        or header.get("key") != key
+        or header.get("rows_sha256") != hashlib.sha256(body).hexdigest()
+    ):
+        return None
+    try:
+        text = body.decode("utf-8")
+        rows = json.loads(text)
+    except ValueError:
+        return None
+    return (rows, text) if isinstance(rows, list) else None
 
 
 def _parse_rows(text: str) -> list[dict[str, Any]]:

@@ -8,12 +8,14 @@ to a cache-less run, version-in-key invalidation), and the ``repro cache``
 CLI subcommand.
 """
 
+import hashlib
 import json
 import multiprocessing
 
 import pytest
 
 import repro
+import repro.cache
 from repro.api import (
     ArchitectureSpec,
     CorrelatedFaultSpec,
@@ -135,29 +137,51 @@ class TestTiers:
             ResultCache("ttl")
 
 
+def read_entry(path):
+    """A v2 disk entry as (header dict, row bytes)."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), body
+
+
+def write_entry(path, header, body):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(canonical_json(header).encode() + b"\n" + body)
+
+
 class TestEntryValidation:
-    def _entry(self, cache, key, **overrides):
-        body = {
+    def _write(self, isolated_cache, case, body=None):
+        """Write a valid v2 entry for ``case`` whose digest covers ``body``.
+
+        ``body`` defaults to ROWS' canonical JSON, so an eviction test that
+        passes another body breaks exactly the check it names.
+        """
+        cache = ResultCache("disk", isolated_cache)
+        key = content_key({"case": case})
+        body = canonical_json(ROWS).encode() if body is None else body
+        header = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "package_version": "0",
-            "rows_sha256": content_key(ROWS[0]),  # wrong on purpose unless overridden
-            "rows": ROWS,
+            "rows_sha256": hashlib.sha256(body).hexdigest(),
         }
-        body.update(overrides)
-        return body
-
-    def _write_and_get(self, isolated_cache, text):
-        cache = ResultCache("disk", isolated_cache)
-        key = content_key({"case": text[:16]})
-        path = cache.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text if isinstance(text, str) else canonical_json(text))
+        write_entry(cache.entry_path(key), header, body)
         clear_memory_cache()
-        return cache, key, path
+        return cache, key, cache.entry_path(key)
+
+    def test_valid_entry_is_a_hit(self, isolated_cache):
+        cache, key, path = self._write(isolated_cache, "valid")
+        assert cache.get(key) == ROWS
+        assert path.exists()
 
     def test_corrupt_json_is_evicted(self, isolated_cache):
-        cache, key, path = self._write_and_get(isolated_cache, "{not json")
+        cache, key, path = self._write(isolated_cache, "corrupt", body=b"{not json")
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_corrupt_header_is_evicted(self, isolated_cache):
+        cache, key, path = self._write(isolated_cache, "header")
+        _, body = read_entry(path)
+        path.write_bytes(b"{not json\n" + body)
         assert cache.get(key) is None
         assert not path.exists()
 
@@ -176,9 +200,9 @@ class TestEntryValidation:
         cache = ResultCache("disk", isolated_cache)
         key = content_key({"case": "schema"})
         cache.put(key, ROWS)
-        entry = json.loads(cache.entry_path(key).read_text())
-        entry["schema"] = CACHE_SCHEMA_VERSION + 1
-        cache.entry_path(key).write_text(canonical_json(entry))
+        header, body = read_entry(cache.entry_path(key))
+        header["schema"] = CACHE_SCHEMA_VERSION + 1
+        write_entry(cache.entry_path(key), header, body)
         clear_memory_cache()
         assert cache.get(key) is None
         assert not cache.entry_path(key).exists()
@@ -198,18 +222,56 @@ class TestEntryValidation:
         cache = ResultCache("disk", isolated_cache)
         key = content_key({"case": "digest"})
         cache.put(key, ROWS)
-        entry = json.loads(cache.entry_path(key).read_text())
-        entry["rows"] = [{"metrics": {"x": 0.999}}]
-        cache.entry_path(key).write_text(canonical_json(entry))
+        header, _ = read_entry(cache.entry_path(key))
+        write_entry(
+            cache.entry_path(key), header, canonical_json([{"metrics": {"x": 0.999}}]).encode()
+        )
         clear_memory_cache()
         assert cache.get(key) is None
+
+    def test_row_edit_that_stays_valid_json_is_evicted(self, isolated_cache):
+        cache = ResultCache("disk", isolated_cache)
+        key = content_key({"case": "edit"})
+        cache.put(key, ROWS)
+        path = cache.entry_path(key)
+        header, body = read_entry(path)
+        edited = body.replace(b"0.5", b"0.6")
+        assert edited != body and json.loads(edited)  # still valid JSON rows
+        write_entry(path, header, edited)
+        clear_memory_cache()
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_disk_hit_serializes_nothing(self, isolated_cache, monkeypatch):
+        cache = ResultCache("disk", isolated_cache)
+        key = content_key({"case": "no-reserialize"})
+        cache.put(key, ROWS)
+        clear_memory_cache()
+        calls = []
+        serialize = repro.cache.canonical_json
+        monkeypatch.setattr(
+            repro.cache, "canonical_json", lambda value: calls.append(value) or serialize(value)
+        )
+        assert cache.get(key) == ROWS  # disk hit, promoted into memory
+        assert cache.get(key) == ROWS  # memory hit
+        assert calls == []
 
     def test_entry_records_package_version(self, isolated_cache):
         cache = ResultCache("disk", isolated_cache)
         key = content_key({"case": "version"})
         cache.put(key, ROWS)
-        entry = json.loads(cache.entry_path(key).read_text())
-        assert entry["package_version"] == str(getattr(repro, "__version__", "0"))
+        header, _ = read_entry(cache.entry_path(key))
+        assert header["package_version"] == str(getattr(repro, "__version__", "0"))
+
+    def test_entry_is_a_header_line_then_the_rows(self, isolated_cache):
+        cache = ResultCache("disk", isolated_cache)
+        key = content_key({"case": "layout"})
+        cache.put(key, ROWS)
+        header, body = read_entry(cache.entry_path(key))
+        assert sorted(header) == ["key", "package_version", "rows_sha256", "schema"]
+        assert (header["schema"], header["key"]) == (CACHE_SCHEMA_VERSION, key)
+        assert body == canonical_json(ROWS).encode()
+        assert header["rows_sha256"] == hashlib.sha256(body).hexdigest()
 
     def test_clear_disk_cache_only_touches_version_dirs(self, isolated_cache):
         cache = ResultCache("disk", isolated_cache)
