@@ -150,7 +150,7 @@ def _cell(
 def _scenario_nodes(scenario: Scenario) -> int:
     if scenario.n_nodes is not None:
         return scenario.n_nodes
-    return scenario.trace.build().n_nodes
+    return scenario.trace.n_nodes
 
 
 # -------------------------------------------------------- multi-seed plumbing
@@ -814,7 +814,8 @@ class ExperimentRunner:
     def _check_scenario(self) -> None:
         """Reject a scenario that would fail mid-run, before any work starts.
 
-        When an experiment sweeps the architectures, builds each of them
+        When an experiment sweeps the architectures, checks that the
+        simulated cluster fits in the trace and builds each architecture
         once, so unknown names and bad parameters raise before the cache is
         read or a trace is built; checks the goodput job at every TP size;
         checks that the scheduling experiments have a job queue; and parses
@@ -827,6 +828,13 @@ class ExperimentRunner:
         scenario = self.spec.scenario
         experiments = self.spec.experiments
         if any(experiment in _ARCH_SWEEP_EXPERIMENTS for experiment in experiments):
+            trace = scenario.trace
+            if scenario.n_nodes is not None and scenario.n_nodes > trace.n_nodes:
+                raise ValueError(
+                    f"scenario n_nodes={scenario.n_nodes} is larger than the fault trace's "
+                    f"{trace.n_nodes} nodes (source_nodes={trace.source_nodes} at 8 GPUs "
+                    f"per node, gpus_per_node={trace.gpus_per_node})"
+                )
             for arch_spec in scenario.architectures:
                 arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
         if "goodput" in experiments:

@@ -170,6 +170,15 @@ class TraceSpec:
         # building it here rejects a bad spec before any work starts.
         self._synthetic_config()
 
+    @property
+    def n_nodes(self) -> int:
+        """Nodes of the built trace: ``source_nodes`` 8-GPU nodes, resized.
+
+        >>> TraceSpec(source_nodes=400, gpus_per_node=4).n_nodes
+        800
+        """
+        return self.source_nodes * 8 // self.gpus_per_node
+
     def _synthetic_config(self) -> SyntheticTraceConfig:
         return SyntheticTraceConfig(
             n_nodes=self.source_nodes,
@@ -559,6 +568,10 @@ class Scenario:
             raise ValueError("tp_sizes must be a non-empty tuple of positive ints")
         if not 0.0 < self.availability <= 1.0:
             raise ValueError("availability must be in (0, 1]")
+        if self.n_nodes is not None and self.n_nodes < 1:
+            raise ValueError(
+                f"n_nodes must be >= 1 (or None for the whole trace), got {self.n_nodes}"
+            )
 
     @classmethod
     def default(cls, name: str = "default", **overrides: Any) -> Scenario:

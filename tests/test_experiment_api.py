@@ -15,6 +15,7 @@ from repro.api import (
     REGISTRY,
     ArchitectureRegistry,
     ArchitectureSpec,
+    CorrelatedFaultSpec,
     ExperimentResult,
     ExperimentRunner,
     ExperimentSpec,
@@ -129,6 +130,24 @@ class TestSpecRoundTrip:
         scenario["trace"][field] = value
         with pytest.raises(ValueError, match="must be"):
             ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
+
+    @pytest.mark.parametrize("n_nodes", [0, -5])
+    def test_non_positive_n_nodes_rejected_at_parse_time(self, n_nodes):
+        scenario = small_spec().scenario.to_dict()
+        scenario["n_nodes"] = n_nodes
+        with pytest.raises(ValueError, match=f"n_nodes must be >= 1.*got {n_nodes}"):
+            ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
+
+    @pytest.mark.parametrize("gpus_per_node", [4, 8])
+    @pytest.mark.parametrize(
+        "correlated", [None, CorrelatedFaultSpec(correlation=0.5)], ids=["plain", "correlated"]
+    )
+    def test_trace_spec_n_nodes_is_the_built_size(self, gpus_per_node, correlated):
+        spec = TraceSpec(
+            days=5, seed=17, source_nodes=24, gpus_per_node=gpus_per_node, correlated=correlated
+        )
+        assert spec.n_nodes == 24 * 8 // gpus_per_node
+        assert spec.build().n_nodes == spec.n_nodes
 
 
 class TestRegistry:
@@ -624,6 +643,52 @@ class TestFailFast:
         with pytest.raises(ValueError, match=match):
             ExperimentRunner(spec).run()
         assert work == []
+
+    def test_oversize_cluster_rejected_before_any_work(self, monkeypatch):
+        # 801 simulated nodes on the default 800-node trace, over 20 seeds.
+        spec = ExperimentSpec.of(
+            scenario=Scenario(
+                name="oversize",
+                architectures=(ArchitectureSpec(name="NVL-72"),),
+                tp_sizes=(32,),
+                n_nodes=801,
+            ),
+            experiments=("waste",),
+            num_seeds=20,
+            max_workers=1,
+        )
+        work = []
+        replay = runner_module.replay_intervals
+        build = TraceSpec.build
+        monkeypatch.setattr(
+            runner_module,
+            "replay_intervals",
+            lambda *args: work.append("replay") or replay(*args),
+        )
+        monkeypatch.setattr(
+            TraceSpec, "build", lambda trace: work.append("trace") or build(trace)
+        )
+        match = (
+            r"n_nodes=801 is larger than the fault trace's 800 nodes "
+            r"\(source_nodes=400 at 8 GPUs per node, gpus_per_node=4\)"
+        )
+        with pytest.raises(ValueError, match=match):
+            ExperimentRunner(spec).run()
+        assert work == []
+
+    def test_cross_tor_accepts_any_positive_cluster_size(self):
+        spec = ExperimentSpec.from_dict({
+            "scenario": {
+                "name": "cross-tor-only",
+                "trace": {"days": 5, "source_nodes": 8},
+                "tp_sizes": [8],
+                "n_nodes": 64,
+            },
+            "experiments": ["cross_tor"],
+            "max_workers": 1,
+        })
+        assert spec.scenario.trace.n_nodes == 16
+        assert len(ExperimentRunner(spec).run()) == 2
 
     def test_architectures_no_experiment_sweeps_are_not_built(self):
         spec = ExperimentSpec.from_dict({
