@@ -37,6 +37,7 @@ correlated traces unchanged.  At
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -190,28 +191,83 @@ def _mmpp_arrival_hours(
     return arrivals
 
 
+#: The overlay's draws, one entry per outage in arrival order: the domain
+#: index, the start hour and the end hour.
+_OutageDraws = tuple[list[int], list[float], list[float]]
+
+
+def _draw_outages(
+    config: CorrelatedFaultConfig,
+    domains: tuple[tuple[int, ...], ...],
+    rng: np.random.Generator,
+) -> _OutageDraws:
+    """Draw the overlay's outages without building ``DomainOutage`` records."""
+    duration_hours = config.base.duration_days * HOURS_PER_DAY
+    indexes: list[int] = []
+    starts: list[float] = []
+    ends: list[float] = []
+    for start in _mmpp_arrival_hours(config, duration_hours, rng):
+        index = int(rng.integers(len(domains)))
+        repair = config.repair_median_hours * float(
+            np.exp(config.repair_sigma * rng.standard_normal())
+        )
+        indexes.append(index)
+        starts.append(start)
+        ends.append(min(start + repair, duration_hours))
+    return indexes, starts, ends
+
+
+def _outage_records(
+    domains: tuple[tuple[int, ...], ...], draws: _OutageDraws
+) -> list[DomainOutage]:
+    indexes, starts, ends = draws
+    return [
+        DomainOutage(domain=index, nodes=domains[index], start_hour=start, end_hour=end)
+        for index, start, end in zip(indexes, starts, ends, strict=True)
+    ]
+
+
 def sample_domain_outages(
     config: CorrelatedFaultConfig,
     domains: tuple[tuple[int, ...], ...],
     rng: np.random.Generator,
 ) -> list[DomainOutage]:
     """Draw the correlated overlay: burst-arriving whole-domain outages."""
-    duration_hours = config.base.duration_days * HOURS_PER_DAY
-    outages: list[DomainOutage] = []
-    for start in _mmpp_arrival_hours(config, duration_hours, rng):
-        index = int(rng.integers(len(domains)))
-        repair = config.repair_median_hours * float(
-            np.exp(config.repair_sigma * rng.standard_normal())
-        )
-        outages.append(
-            DomainOutage(
-                domain=index,
-                nodes=domains[index],
-                start_hour=start,
-                end_hour=min(start + repair, duration_hours),
-            )
-        )
-    return outages
+    return _outage_records(domains, _draw_outages(config, domains, rng))
+
+
+def _overlay(
+    config: CorrelatedFaultConfig, domains: tuple[tuple[int, ...], ...] | None
+) -> tuple[FaultTrace, tuple[tuple[int, ...], ...], _OutageDraws]:
+    """The correlated trace, its failure domains and the outage draws behind it."""
+    base = generate_synthetic_trace(config.base)
+    if config.correlation == 0.0:
+        return base, (), ([], [], [])
+    if domains is None:
+        domains = fault_domains(config.base.n_nodes, config.domain_size)
+    for domain in domains:
+        if not domain:
+            raise ValueError("a domain outage must cover at least one node")
+        for node in domain:
+            if not 0 <= node < config.base.n_nodes:
+                raise ValueError(f"domain node {node} outside cluster of {config.base.n_nodes}")
+    rng = np.random.default_rng((config.base.seed, _OVERLAY_STREAM))
+    draws = _draw_outages(config, domains, rng)
+    indexes, starts, ends = draws
+    # Each outage appends one row per node of its domain, after the base rows.
+    sizes = [len(domains[index]) for index in indexes]
+    nodes = np.fromiter(
+        chain.from_iterable(domains[index] for index in indexes), dtype=np.int64, count=sum(sizes)
+    )
+    trace = FaultTrace.from_columns(
+        config.base.n_nodes,
+        config.base.duration_days,
+        np.concatenate((base.node_ids, nodes)),
+        np.concatenate((base.start_hours, np.repeat(starts, sizes))),
+        np.concatenate((base.end_hours, np.repeat(ends, sizes))),
+        gpus_per_node=config.base.gpus_per_node,
+    )
+    return trace, domains, draws
 
 
 def correlated_trace_with_outages(
@@ -237,33 +293,8 @@ def correlated_trace_with_outages(
     >>> len(outages) > 0 and all(len(o.nodes) == 8 for o in outages)
     True
     """
-    base = generate_synthetic_trace(config.base)
-    if config.correlation == 0.0:
-        return base, ()
-    if domains is None:
-        domains = fault_domains(config.base.n_nodes, config.domain_size)
-    for domain in domains:
-        for node in domain:
-            if not 0 <= node < config.base.n_nodes:
-                raise ValueError(f"domain node {node} outside cluster of {config.base.n_nodes}")
-    rng = np.random.default_rng((config.base.seed, _OVERLAY_STREAM))
-    outages = sample_domain_outages(config, domains, rng)
-    # Each outage appends one row per node of its domain, after the base rows.
-    sizes = [len(outage.nodes) for outage in outages]
-    outage_nodes = np.fromiter(
-        (node for outage in outages for node in outage.nodes), dtype=np.int64, count=sum(sizes)
-    )
-    outage_starts = np.repeat([outage.start_hour for outage in outages], sizes)
-    outage_ends = np.repeat([outage.end_hour for outage in outages], sizes)
-    trace = FaultTrace.from_columns(
-        config.base.n_nodes,
-        config.base.duration_days,
-        np.concatenate((base.node_ids, outage_nodes)),
-        np.concatenate((base.start_hours, outage_starts)),
-        np.concatenate((base.end_hours, outage_ends)),
-        gpus_per_node=config.base.gpus_per_node,
-    )
-    return trace, tuple(outages)
+    trace, domains, draws = _overlay(config, domains)
+    return trace, tuple(_outage_records(domains, draws))
 
 
 def generate_correlated_trace(
@@ -272,13 +303,15 @@ def generate_correlated_trace(
 ) -> FaultTrace:
     """Generate a correlated fault trace (see :func:`correlated_trace_with_outages`).
 
+    Builds the trace alone, without ``DomainOutage`` records.
+
     >>> base = SyntheticTraceConfig(n_nodes=32, duration_days=10, seed=3)
     >>> independent = generate_synthetic_trace(base)
     >>> same = generate_correlated_trace(CorrelatedFaultConfig(base=base))
     >>> same.events == independent.events   # correlation=0 is a pass-through
     True
     """
-    trace, _ = correlated_trace_with_outages(config, domains)
+    trace, _, _ = _overlay(config, domains)
     return trace
 
 

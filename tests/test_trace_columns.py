@@ -1,8 +1,8 @@
 """Columnar fault traces against the object-based code they replaced.
 
 The oracle section is the ``FaultEvent``-based synthetic generator, 8-to-4
-GPU conversion, correlated overlay and event-log normalization, kept
-verbatim apart from the ``oracle_`` names.  The RNG draw order is the
+GPU conversion, outage sampling, correlated overlay and event-log
+normalization, kept verbatim apart from the ``oracle_`` names.  The RNG draw order is the
 contract -- every golden and result digest is a function of it -- so the
 columnar trace must be array-equal to the oracle's events for every
 configuration, and the vectorized normalizer array-equal to the per-node
@@ -37,9 +37,10 @@ from repro.faults.correlated import (
     _OVERLAY_STREAM,
     CorrelatedFaultConfig,
     DomainOutage,
+    _mmpp_arrival_hours,
+    correlated_trace_with_outages,
     fault_domains,
     generate_correlated_trace,
-    sample_domain_outages,
 )
 from repro.faults.events import EVENT_DTYPE, columnar_event_log, event_log_from_columns
 from repro.faults.synthetic import (
@@ -181,6 +182,30 @@ def oracle_convert_trace_8gpu_to_4gpu(
     )
 
 
+def oracle_sample_domain_outages(
+    config: CorrelatedFaultConfig,
+    domains: tuple[tuple[int, ...], ...],
+    rng: np.random.Generator,
+) -> list[DomainOutage]:
+    """Draw the correlated overlay: burst-arriving whole-domain outages."""
+    duration_hours = config.base.duration_days * HOURS_PER_DAY
+    outages: list[DomainOutage] = []
+    for start in _mmpp_arrival_hours(config, duration_hours, rng):
+        index = int(rng.integers(len(domains)))
+        repair = config.repair_median_hours * float(
+            np.exp(config.repair_sigma * rng.standard_normal())
+        )
+        outages.append(
+            DomainOutage(
+                domain=index,
+                nodes=domains[index],
+                start_hour=start,
+                end_hour=min(start + repair, duration_hours),
+            )
+        )
+    return outages
+
+
 def oracle_correlated_trace_with_outages(
     config: CorrelatedFaultConfig,
     domains: tuple[tuple[int, ...], ...] | None = None,
@@ -207,7 +232,7 @@ def oracle_correlated_trace_with_outages(
             if not 0 <= node < config.base.n_nodes:
                 raise ValueError(f"domain node {node} outside cluster of {config.base.n_nodes}")
     rng = np.random.default_rng((config.base.seed, _OVERLAY_STREAM))
-    outages = sample_domain_outages(config, domains, rng)
+    outages = oracle_sample_domain_outages(config, domains, rng)
     events = list(base.events)
     for outage in outages:
         events.extend(
@@ -339,9 +364,12 @@ def test_trace_columns_equal_the_oracle(
     config = CorrelatedFaultConfig(
         base=base, correlation=correlation, domain_size=domain_size, domain_rate_per_day=2.0
     )
-    expected, _ = oracle_correlated_trace_with_outages(config)
+    expected, expected_outages = oracle_correlated_trace_with_outages(config)
     trace = generate_correlated_trace(config) if correlation else generate_synthetic_trace(base)
     assert_trace_matches(trace, expected)
+    with_outages, outages = correlated_trace_with_outages(config)
+    assert_trace_matches(with_outages, expected)
+    assert outages == expected_outages
     if gpus_per_node == 4:
         assert_trace_matches(
             convert_trace_8gpu_to_4gpu(trace, seed=seed),
