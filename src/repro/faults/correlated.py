@@ -37,7 +37,6 @@ correlated traces unchanged.  At
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -257,7 +256,7 @@ def _overlay(
     # Each outage appends one row per node of its domain, after the base rows.
     sizes = [len(domains[index]) for index in indexes]
     nodes = np.fromiter(
-        chain.from_iterable(domains[index] for index in indexes), dtype=np.int64, count=sum(sizes)
+        (node for index in indexes for node in domains[index]), dtype=np.int64, count=sum(sizes)
     )
     trace = FaultTrace.from_columns(
         config.base.n_nodes,

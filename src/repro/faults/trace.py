@@ -38,9 +38,10 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from numpy.typing import ArrayLike, NDArray
+
     from repro.faults.timeline import IntervalTimeline
 
 #: Hours per day -- trace times are expressed in hours from the trace start.
