@@ -170,7 +170,7 @@ class FaultTrace:
         nodes = np.asarray(node_ids, dtype=np.int64)
         starts = np.asarray(start_hours, dtype=np.float64)
         ends = np.asarray(end_hours, dtype=np.float64)
-        if nodes.ndim != 1 or not nodes.shape == starts.shape == ends.shape:
+        if nodes.ndim != 1 or starts.shape != nodes.shape or ends.shape != nodes.shape:
             raise ValueError("node_ids, start_hours and end_hours must be 1-D and equally long")
         if (nodes < 0).any():
             raise ValueError("node_id must be non-negative")
