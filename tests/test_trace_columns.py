@@ -2,11 +2,12 @@
 
 The oracle section is the ``FaultEvent``-based synthetic generator, 8-to-4
 GPU conversion, outage sampling, correlated overlay and event-log
-normalization, kept verbatim apart from the ``oracle_`` names.  The RNG draw order is the
-contract -- every golden and result digest is a function of it -- so the
-columnar trace must be array-equal to the oracle's events for every
-configuration, and the vectorized normalizer array-equal to the per-node
-merge loop on arbitrary runs.  (The oracle conversion reads the mean ratio
+normalization, kept verbatim apart from the ``oracle_`` names and one
+dropped docstring example.  The RNG draw order is the contract -- every
+golden and result digest is a function of it -- so the columnar trace must
+be array-equal to the oracle's events for every configuration, and the
+vectorized normalizer array-equal to the per-node merge loop on arbitrary
+runs.  (The oracle conversion reads the mean ratio
 through ``FaultTrace.statistics()``, whose event log is the normalizer the
 second differential checks against ``oracle_log_from_runs``.)
 
