@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class PowerOfTwoTopology:
         return diff in self.link_distances()
 
     def graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.config.n_nodes))
         for node in range(self.config.n_nodes):

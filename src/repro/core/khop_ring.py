@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,8 @@ class KHopRingTopology:
 
     def graph(self, faulty: Iterable[int] | None = None) -> nx.Graph:
         """Explicit networkx graph; faulty nodes (if given) are removed."""
+        import networkx as nx
+
         faulty_set = set(faulty or ())
         g = nx.Graph()
         for node in range(self.config.n_nodes):

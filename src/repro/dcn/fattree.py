@@ -28,8 +28,10 @@ Network distance (in switch hops, as used in Figure 6/7 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ class FatTree:
     # ------------------------------------------------------------------ graph
     def graph(self) -> nx.Graph:
         """Full switch-level graph (nodes, ToRs, aggregation groups, core)."""
+        import networkx as nx
+
         g = nx.Graph()
         core = "core"
         g.add_node(core, kind="core")

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,8 @@ class RailOptimized:
     # ------------------------------------------------------------------ graph
     def graph(self) -> nx.Graph:
         """Switch-level graph: GPUs -> rail switches -> spine."""
+        import networkx as nx
+
         g = nx.Graph()
         spine = "spine"
         g.add_node(spine, kind="spine")
