@@ -48,90 +48,11 @@ variants plug in by name through the registry (see :mod:`repro.api.registry`)
 without touching core code; the lower-level building blocks
 (:func:`repro.simulation.replay_intervals`, the architecture classes, the
 fault substrate) remain importable for bespoke studies.
+
+``import repro`` imports none of these subpackages: import each name from the
+module that defines it (for example
+``from repro.core.khop_ring import KHopRingTopology``), so a process loads
+only the modules it runs.
 """
 
-from repro.core import (
-    GPU,
-    Node,
-    KHopRingTopology,
-    KHopTopologyConfig,
-    RingBuilder,
-    Orchestrator,
-)
-from repro.core.orchestrator import JobSpec
-from repro.hardware import OCSTrx, OCSTrxBundle, OCSTrxConfig, PathState
-from repro.hbd import (
-    BigSwitchHBD,
-    InfiniteHBDArchitecture,
-    NVLHBD,
-    SiPRingHBD,
-    TPUv4HBD,
-    architecture_by_name,
-    default_architectures,
-    list_architectures,
-)
-from repro.api import (
-    REGISTRY,
-    ArchitectureSpec,
-    ExperimentResult,
-    ExperimentRunner,
-    ExperimentSpec,
-    ResultSet,
-    Scenario,
-    TraceSpec,
-    run_experiment,
-)
-from repro.faults import (
-    FaultTrace,
-    generate_synthetic_trace,
-    convert_trace_8gpu_to_4gpu,
-)
-from repro.training import (
-    MFUSimulator,
-    ParallelismConfig,
-    HardwareSpec,
-    llama31_405b,
-    gpt_moe_1t,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "GPU",
-    "Node",
-    "KHopRingTopology",
-    "KHopTopologyConfig",
-    "RingBuilder",
-    "Orchestrator",
-    "JobSpec",
-    "OCSTrx",
-    "OCSTrxBundle",
-    "OCSTrxConfig",
-    "PathState",
-    "BigSwitchHBD",
-    "InfiniteHBDArchitecture",
-    "NVLHBD",
-    "SiPRingHBD",
-    "TPUv4HBD",
-    "architecture_by_name",
-    "default_architectures",
-    "list_architectures",
-    "REGISTRY",
-    "ArchitectureSpec",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "ExperimentSpec",
-    "ResultSet",
-    "Scenario",
-    "TraceSpec",
-    "run_experiment",
-    "FaultTrace",
-    "generate_synthetic_trace",
-    "convert_trace_8gpu_to_4gpu",
-    "MFUSimulator",
-    "ParallelismConfig",
-    "HardwareSpec",
-    "llama31_405b",
-    "gpt_moe_1t",
-    "__version__",
-]

@@ -8,57 +8,12 @@
   top of the K-Hop topology (intra-node loopback semantics).
 * :mod:`repro.core.orchestrator` -- the HBD-DCN orchestration algorithms
   (Algorithms 1-5 of the paper) plus the greedy baseline.
+* :mod:`repro.core.alltoall_topology`, :mod:`repro.core.multidim` and
+  :mod:`repro.core.wiring` -- the power-of-two AllToAll wiring, multi-dimension
+  parallelism planning and the physical cabling plan.
+
+The package imports none of these modules, so the capacity replays that read
+only :mod:`repro.core.khop_ring` do not load the orchestrator or the node
+model.  Import names from their modules, for example
+``from repro.core.khop_ring import KHopRingTopology``.
 """
-
-from repro.core.node import GPU, Node, make_nodes
-from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig, Segment
-from repro.core.alltoall_topology import AllToAllTopologyConfig, PowerOfTwoTopology
-from repro.core.ring_builder import GPURing, RingBuilder, RingConstructionError
-from repro.core.multidim import (
-    DimensionTraffic,
-    MultiDimensionPlanner,
-    MultiDimPlan,
-    MultiDimStrategy,
-)
-from repro.core.wiring import CableSpec, WiringPlan, WiringPlanner
-from repro.core.orchestrator import (
-    DeploymentPlan,
-    OrchestrationResult,
-    Orchestrator,
-    TPGroup,
-    deployment_strategy,
-    greedy_placement,
-    orchestrate_dcn_free,
-    orchestrate_fat_tree,
-    placement_fat_tree,
-)
-
-__all__ = [
-    "GPU",
-    "Node",
-    "make_nodes",
-    "KHopRingTopology",
-    "KHopTopologyConfig",
-    "Segment",
-    "AllToAllTopologyConfig",
-    "PowerOfTwoTopology",
-    "CableSpec",
-    "WiringPlan",
-    "WiringPlanner",
-    "DimensionTraffic",
-    "MultiDimensionPlanner",
-    "MultiDimPlan",
-    "MultiDimStrategy",
-    "GPURing",
-    "RingBuilder",
-    "RingConstructionError",
-    "DeploymentPlan",
-    "OrchestrationResult",
-    "Orchestrator",
-    "TPGroup",
-    "deployment_strategy",
-    "greedy_placement",
-    "orchestrate_dcn_free",
-    "orchestrate_fat_tree",
-    "placement_fat_tree",
-]
