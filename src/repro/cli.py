@@ -285,7 +285,7 @@ def cmd_run(args: argparse.Namespace) -> list[str]:
 
     lines = [
         f"scenario={spec.scenario.name} experiments={','.join(spec.experiments)} "
-        f"tasks={len(results)} spec_sha256={spec.digest()[:12]}"
+        f"rows={len(results)} spec_sha256={spec.digest()[:12]}"
     ]
     for result in results:
         scalars = " ".join(

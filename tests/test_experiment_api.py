@@ -828,6 +828,26 @@ class TestCLIRun:
         assert len(restored) == 6  # (waste + goodput) x 3 architectures
         assert restored == run_experiment(spec, max_workers=1)
 
+    def test_run_summary_counts_rows_not_tasks(self, capsys, tmp_path):
+        from repro.cli import main
+
+        # One blast_radius task per (architecture, TP) writes a row per
+        # correlation level: 2 tasks, 4 rows.
+        spec = ExperimentSpec.of(
+            scenario=small_spec(
+                tp_sizes=(32,), workload=WorkloadSpec(n_jobs=6, seed=1)
+            ).scenario,
+            experiments=("blast_radius",),
+            options={"blast_radius": {"placements": ["packed"], "correlations": [0.0, 1.0]}},
+        )
+        assert len(ExperimentRunner(spec).tasks()) == 2
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+
+        assert main(["run", "--spec", str(spec_path), "--workers", "1"]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert "rows=4" in summary.split()
+
     def test_architectures_subcommand(self, capsys):
         from repro.cli import main
 
