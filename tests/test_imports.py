@@ -1,0 +1,115 @@
+"""The import contract: a ``repro run`` process loads only what it runs.
+
+networkx serves only the four ``graph()`` exports, and the orchestrator, the
+device models, the DCN and the training simulator serve only the
+``cross_tor`` and ``mfu`` experiments and their CLI commands.  Each test
+starts a fresh interpreter with ``PYTHONPATH=src``, because this test process
+has long since imported all of them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.api import ExperimentSpec, ResultSet, run_experiment
+from repro.api.spec import KNOWN_EXPERIMENTS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: The experiments behind Figs. 13-16 and 20, the goodput ablation and the
+#: blast-radius study.
+CAPACITY_AND_SCHEDULING = (
+    "waste",
+    "max_job_scale",
+    "fault_waiting",
+    "goodput",
+    "schedule",
+    "blast_radius",
+)
+
+#: Modules none of those experiments executes.
+NOT_LOADED_BY_A_CAPACITY_RUN = (
+    "networkx",
+    "repro.hardware",
+    "repro.training",
+    "repro.dcn",
+    "repro.core.node",
+    "repro.core.orchestrator",
+)
+
+
+def small_spec(experiments, num_seeds=1):
+    return {
+        "scenario": {
+            "name": "import-contract",
+            "trace": {"days": 10, "seed": 348, "gpus_per_node": 4},
+            "architectures": ["InfiniteHBD(K=2)", "NVL-72"],
+            "tp_sizes": [32],
+            "n_nodes": 96,
+            "job_gpus": 256,
+            "workload": {"n_jobs": 6, "seed": 1},
+        },
+        "experiments": list(experiments),
+        "options": {"mfu": {"gpus": 1024}, "blast_radius": {"correlations": [0.0, 1.0]}},
+        "num_seeds": num_seeds,
+    }
+
+
+def run_fresh(code, *args):
+    """Run ``python -c code *args`` in a new interpreter; return its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_every_experiment_runs_without_networkx(tmp_path):
+    spec = small_spec(KNOWN_EXPERIMENTS, num_seeds=2)
+    out_path = tmp_path / "results.json"
+    run_fresh(
+        "import sys\n"
+        "sys.modules['networkx'] = None  # any import of networkx now raises\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(['run', '--spec', sys.argv[1], '--workers', '1',\n"
+        "               '--output', sys.argv[2]]))\n",
+        write_spec(tmp_path, spec),
+        str(out_path),
+    )
+    expected = run_experiment(ExperimentSpec.from_dict(spec), max_workers=1)
+    assert ResultSet.from_json(out_path.read_text()) == expected
+
+
+def test_capacity_run_loads_no_orchestrator_device_dcn_or_training_code(tmp_path):
+    loaded = run_fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "assert main(['run', '--spec', sys.argv[1], '--workers', '1']) == 0\n"
+        "print(json.dumps(sorted(set(sys.argv[2:]) & set(sys.modules))))\n",
+        write_spec(tmp_path, small_spec(CAPACITY_AND_SCHEDULING)),
+        *NOT_LOADED_BY_A_CAPACITY_RUN,
+    )
+    assert json.loads(loaded) == []
+
+
+def test_import_repro_loads_no_submodule():
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import repro\n"
+        "print(json.dumps([repro.__version__,\n"
+        "                  sorted(m for m in sys.modules if m.startswith('repro.'))]))\n"
+    )
+    assert json.loads(loaded) == ["1.0.0", []]
