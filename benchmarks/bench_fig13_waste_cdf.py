@@ -10,7 +10,7 @@ quantiles).  The p50 is read off each row's step series.
 
 from conftest import SIM_NODES_4GPU, TP_SIZES, emit_report, format_table
 
-from repro.analysis import weighted_quantile
+from repro.analysis.cdf import weighted_quantile
 from repro.api import ExperimentRunner, ExperimentSpec, Scenario, TraceSpec
 
 

@@ -46,8 +46,8 @@ The same spec runs from the shell: save ``spec.to_json()`` to a file and
 ``python -m repro.cli run --spec spec.json --output results.json``.  New HBD
 variants plug in by name through the registry (see :mod:`repro.api.registry`)
 without touching core code; the lower-level building blocks
-(:func:`repro.simulation.replay_intervals`, the architecture classes, the
-fault substrate) remain importable for bespoke studies.
+(:func:`repro.simulation.cluster.replay_intervals`, the architecture classes,
+the fault substrate) remain importable for bespoke studies.
 
 ``import repro`` imports none of these subpackages: import each name from the
 module that defines it (for example

@@ -1,19 +1,8 @@
-"""Theoretical analyses accompanying the system (Appendix C) and shared stats."""
+"""Theoretical analyses accompanying the system (Appendix C) and shared stats.
 
-from repro.analysis.cdf import empirical_cdf, left_sum, weighted_quantile
-from repro.analysis.waste_bound import (
-    breakpoint_expectation_per_node,
-    expected_waste_per_breakpoint,
-    waste_ratio_upper_bound,
-    waste_bound_table,
-)
-
-__all__ = [
-    "empirical_cdf",
-    "left_sum",
-    "weighted_quantile",
-    "breakpoint_expectation_per_node",
-    "expected_waste_per_breakpoint",
-    "waste_ratio_upper_bound",
-    "waste_bound_table",
-]
+* :mod:`repro.analysis.cdf` -- empirical CDFs, duration-weighted quantiles
+  and the left-fold :func:`~repro.analysis.cdf.left_sum` behind every float
+  total on a result path.
+* :mod:`repro.analysis.waste_bound` -- the theoretical waste-ratio upper
+  bound of Appendix C (Table 7).
+"""

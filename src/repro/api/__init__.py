@@ -33,7 +33,6 @@ from repro.api.registry import (
     ArchitectureEntry,
     ArchitectureRegistry,
     REGISTRY,
-    get_registry,
 )
 from repro.api.spec import (
     KNOWN_EXPERIMENTS,
@@ -60,7 +59,6 @@ __all__ = [
     "ArchitectureEntry",
     "ArchitectureRegistry",
     "REGISTRY",
-    "get_registry",
     "KNOWN_EXPERIMENTS",
     "ArchitectureSpec",
     "CorrelatedFaultSpec",

@@ -223,12 +223,3 @@ class ArchitectureRegistry:
 
 #: The process-global registry every consumer shares.
 REGISTRY = ArchitectureRegistry()
-
-
-def get_registry() -> ArchitectureRegistry:
-    """The global :class:`ArchitectureRegistry` (built-ins auto-loaded).
-
-    >>> "InfiniteHBD(K=3)" in get_registry().names()
-    True
-    """
-    return REGISTRY

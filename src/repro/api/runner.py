@@ -13,9 +13,10 @@ on a single core:
   (:meth:`TraceSpec.build`),
 * the trace is swept into its exact
   :class:`~repro.faults.timeline.IntervalTimeline` once per (trace, cluster
-  size) and that one interval set is replayed across the whole architecture x
-  TP sweep -- O(events log events) instead of O(samples x events) grid
-  scans,
+  size), memoized on the trace
+  (:meth:`~repro.faults.trace.FaultTrace.interval_timeline`), and that one
+  interval set is replayed across the whole architecture x TP sweep --
+  O(events log events) instead of O(samples x events) grid scans,
 * each (architecture, TP) capacity cell is replayed once per run and shared
   by ``waste``, ``max_job_scale``, ``fault_waiting`` and ``goodput`` (whose
   one-job scheduler reads each interval's usable GPUs off the cell instead
@@ -39,7 +40,6 @@ import dataclasses
 import json
 import math
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Mapping, Sequence
 from multiprocessing.context import BaseContext
@@ -60,7 +60,6 @@ from repro.api.spec import (
     TraceSpec,
 )
 from repro.cache import ResultCache, content_key
-from repro.faults.timeline import IntervalTimeline
 from repro.hbd.base import HBDArchitecture
 from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
 from repro.scheduler import ClusterReport, ClusterScheduler, PlacementPolicy, placement_by_name
@@ -82,26 +81,6 @@ def _fork_context() -> BaseContext | None:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
-
-
-# ------------------------------------------------------- shared fault timelines
-_TIMELINE_CACHE: dict[tuple[TraceSpec, int | None], IntervalTimeline] = {}
-_TIMELINE_LOCK = threading.Lock()
-
-
-def _timeline_for(
-    trace_spec: TraceSpec, n_nodes: int | None
-) -> IntervalTimeline:
-    """Per-process memoized exact interval timeline for a declarative trace."""
-    key = (trace_spec, n_nodes)
-    with _TIMELINE_LOCK:
-        cached = _TIMELINE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    timeline = trace_spec.build().interval_timeline(n_nodes)
-    with _TIMELINE_LOCK:
-        _TIMELINE_CACHE.setdefault(key, timeline)
-    return timeline
 
 
 # ------------------------------------------------------ shared capacity cells
@@ -134,7 +113,7 @@ def _cell(
     cached = _CELL_CACHE.get(key)
     if cached is not None:
         return cached
-    timelines = [_timeline_for(ts, spec.scenario.n_nodes) for ts in trace_specs]
+    timelines = [ts.build().interval_timeline(spec.scenario.n_nodes) for ts in trace_specs]
     seeds = [ts.seed for ts in trace_specs]
     if len(timelines) == 1:
         series = replay_intervals(architecture, timelines[0], payload["tp_size"])
@@ -361,7 +340,7 @@ def _schedule_report(
     line-up (fragmentation differs per architecture).
     """
     assert scenario.workload is not None  # ExperimentRunner.run checked it
-    timeline = _timeline_for(trace_spec, scenario.n_nodes)
+    timeline = trace_spec.build().interval_timeline(scenario.n_nodes)
     total_gpus = architecture.total_gpus(timeline.n_nodes)
     default_max = max(tp_size, total_gpus // 2 // tp_size * tp_size)
     return ClusterScheduler(
@@ -911,7 +890,7 @@ class ExperimentRunner:
                 trace_spec.build()
         if any(e in _TIMELINE_EXPERIMENTS for e in experiments):
             for trace_spec in trace_specs:
-                _timeline_for(trace_spec, scenario.n_nodes)
+                trace_spec.build().interval_timeline(scenario.n_nodes)
 
 
 def run_experiment(

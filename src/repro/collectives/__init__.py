@@ -9,34 +9,3 @@
   paper proposes for InfiniteHBD (Appendix G), including a data-level
   functional simulation used to verify correctness.
 """
-
-from repro.collectives.cost_model import LinkSpec, CollectiveCost
-from repro.collectives.ring_allreduce import (
-    RingAllReduceModel,
-    ring_allreduce_time,
-    ring_allreduce_utilization,
-)
-from repro.collectives.alltoall import (
-    AllToAllCost,
-    binary_exchange_alltoall,
-    binary_exchange_cost,
-    bruck_cost,
-    pairwise_exchange_alltoall,
-    pairwise_cost,
-    ring_alltoall_cost,
-)
-
-__all__ = [
-    "LinkSpec",
-    "CollectiveCost",
-    "RingAllReduceModel",
-    "ring_allreduce_time",
-    "ring_allreduce_utilization",
-    "AllToAllCost",
-    "binary_exchange_alltoall",
-    "binary_exchange_cost",
-    "bruck_cost",
-    "pairwise_exchange_alltoall",
-    "pairwise_cost",
-    "ring_alltoall_cost",
-]

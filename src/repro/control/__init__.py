@@ -14,20 +14,3 @@ The control plane operates on the same :class:`~repro.core.node.Node` /
 :class:`~repro.hardware.ocstrx.OCSTrxBundle` objects as the ring builder, so
 reconfiguration latency and path states are tracked end to end.
 """
-
-from repro.control.fabric_manager import NodeFabricManager, NodeRole
-from repro.control.cluster_manager import (
-    ClusterManager,
-    ControlEvent,
-    RingAssignment,
-    RingState,
-)
-
-__all__ = [
-    "NodeFabricManager",
-    "NodeRole",
-    "ClusterManager",
-    "ControlEvent",
-    "RingAssignment",
-    "RingState",
-]

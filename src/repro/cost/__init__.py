@@ -7,30 +7,3 @@
 * :mod:`repro.cost.analysis` -- per-GPU / per-GBps normalisation (Table 6)
   and the fault-aware aggregate-cost model behind Figure 17d.
 """
-
-from repro.cost.components import Component, COMPONENT_CATALOG
-from repro.cost.architectures import (
-    ArchitectureBOM,
-    BOMLine,
-    all_reference_boms,
-    reference_bom,
-)
-from repro.cost.analysis import (
-    CostSummary,
-    interconnect_cost_table,
-    aggregate_cost,
-    aggregate_cost_sweep,
-)
-
-__all__ = [
-    "Component",
-    "COMPONENT_CATALOG",
-    "ArchitectureBOM",
-    "BOMLine",
-    "all_reference_boms",
-    "reference_bom",
-    "CostSummary",
-    "interconnect_cost_table",
-    "aggregate_cost",
-    "aggregate_cost_sweep",
-]

@@ -6,28 +6,3 @@ only, no wall-clock reads, ordered iteration over fault sets, frozen spec
 dataclasses.  See :mod:`repro.devtools.rules` for the rule catalog and
 ``docs/devtools.md`` for the human-readable version.
 """
-
-from repro.devtools.engine import (
-    Finding,
-    LintConfig,
-    LintResult,
-    Rule,
-    lint_paths,
-    lint_source,
-    load_config,
-    module_name_for_path,
-)
-from repro.devtools.rules import default_rules, rule_by_code
-
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "Rule",
-    "default_rules",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-    "module_name_for_path",
-    "rule_by_code",
-]

@@ -12,34 +12,3 @@ in section 4.1 and section 5.1 of the paper at the behavioural level:
   consumption and bit error rate versus temperature/OMA used to regenerate
   Figures 10, 11 and 12.
 """
-
-from repro.hardware.mzi import MZISwitchElement, MZISwitchMatrix
-from repro.hardware.ocstrx import (
-    OCSTrx,
-    OCSTrxBundle,
-    OCSTrxConfig,
-    PathState,
-    TrxPath,
-    ReconfigurationEvent,
-)
-from repro.hardware.optics import (
-    InsertionLossModel,
-    PowerModel,
-    BERModel,
-    OpticalMeasurementCampaign,
-)
-
-__all__ = [
-    "MZISwitchElement",
-    "MZISwitchMatrix",
-    "OCSTrx",
-    "OCSTrxBundle",
-    "OCSTrxConfig",
-    "PathState",
-    "TrxPath",
-    "ReconfigurationEvent",
-    "InsertionLossModel",
-    "PowerModel",
-    "BERModel",
-    "OpticalMeasurementCampaign",
-]

@@ -31,7 +31,6 @@ from repro.hbd.registry import (
     DEFAULT_LINEUP,
     architecture_by_name,
     default_architectures,
-    list_architectures,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "DEFAULT_LINEUP",
     "default_architectures",
     "architecture_by_name",
-    "list_architectures",
 ]

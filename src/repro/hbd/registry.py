@@ -15,7 +15,7 @@ historical signatures as thin shims over the registry.
 from __future__ import annotations
 
 
-from repro.api.registry import REGISTRY, ArchitectureRegistry
+from repro.api.registry import REGISTRY
 from repro.hbd.base import HBDArchitecture
 from repro.hbd.bigswitch import BigSwitchHBD
 from repro.hbd.infinitehbd import InfiniteHBDArchitecture
@@ -120,8 +120,3 @@ def architecture_by_name(name: str, gpus_per_node: int = 4) -> HBDArchitecture:
     e.g. ``unknown architecture 'nvl72'; did you mean 'nvl-72'?``.
     """
     return REGISTRY.create(name, gpus_per_node=gpus_per_node)
-
-
-def list_architectures(registry: ArchitectureRegistry = REGISTRY) -> list[str]:
-    """Every registered architecture name (built-ins plus plugins)."""
-    return registry.names()

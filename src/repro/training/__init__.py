@@ -16,48 +16,3 @@ Utilization (MFU).  This subpackage rebuilds that simulator analytically:
 * :mod:`repro.training.parallelism` -- grid search for the optimal strategy
   (Tables 2, 4 and 5).
 """
-
-from repro.training.models import (
-    ModelConfig,
-    llama31_405b,
-    gpt_moe_1t,
-)
-from repro.training.flops import flops_per_token, flops_per_iteration
-from repro.training.comm import (
-    tp_allreduce_volume_per_layer,
-    ep_alltoall_volume_per_layer,
-    CommVolumes,
-    iteration_comm_volumes,
-)
-from repro.training.mfu import (
-    HardwareSpec,
-    ParallelismConfig,
-    MFUEstimate,
-    MFUSimulator,
-)
-from repro.training.parallelism import (
-    StrategySearchResult,
-    search_optimal_strategy,
-    optimal_mfu_table,
-    tp_vs_ep_imbalance_table,
-)
-
-__all__ = [
-    "ModelConfig",
-    "llama31_405b",
-    "gpt_moe_1t",
-    "flops_per_token",
-    "flops_per_iteration",
-    "tp_allreduce_volume_per_layer",
-    "ep_alltoall_volume_per_layer",
-    "CommVolumes",
-    "iteration_comm_volumes",
-    "HardwareSpec",
-    "ParallelismConfig",
-    "MFUEstimate",
-    "MFUSimulator",
-    "StrategySearchResult",
-    "search_optimal_strategy",
-    "optimal_mfu_table",
-    "tp_vs_ep_imbalance_table",
-]

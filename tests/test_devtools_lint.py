@@ -17,16 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import (
+from repro.devtools.engine import (
     LintConfig,
-    default_rules,
     lint_paths,
     lint_source,
     load_config,
     module_name_for_path,
-    rule_by_code,
+    parse_suppressions,
 )
-from repro.devtools.engine import parse_suppressions
+from repro.devtools.rules import default_rules, rule_by_code
 from repro.devtools.lint import run as lint_run
 from repro.cli import main as cli_main
 

@@ -29,8 +29,10 @@ from repro.api import (
     run_experiment,
 )
 import repro.api.runner as runner_module
+import repro.api.spec as spec_module
 from repro.cache import ResultCache
-from repro.hbd import NVLHBD, architecture_by_name, list_architectures
+from repro.faults.timeline import IntervalTimeline
+from repro.hbd import NVLHBD, architecture_by_name
 from repro.hbd.registry import DEFAULT_LINEUP
 from repro.mc import TraceBatch
 from repro.simulation.cluster import replay_intervals
@@ -152,7 +154,7 @@ class TestSpecRoundTrip:
 
 class TestRegistry:
     def test_default_lineup_registered(self):
-        names = list_architectures()
+        names = REGISTRY.names()
         for name in DEFAULT_LINEUP:
             assert name in names
 
@@ -245,11 +247,21 @@ class TestRunner:
         assert parallel.to_json() == serial.to_json()
 
     def test_goodput_timelines_are_swept_before_the_pool_forks(self, monkeypatch):
-        monkeypatch.setattr(runner_module, "_TIMELINE_CACHE", {})
+        monkeypatch.setattr(spec_module, "_TRACE_CACHE", {})
+        monkeypatch.setattr(runner_module, "_CELL_CACHE", {})
         runner = ExperimentRunner(small_spec(experiments=("goodput",)), num_seeds=2)
-        runner._warm_caches(runner.tasks())
-        seeds = runner_module._seed_trace_specs(runner.spec)
-        assert set(runner_module._TIMELINE_CACHE) == {(ts, 288) for ts in seeds}
+        tasks = runner.tasks()
+        runner._warm_caches(tasks)
+        swept = []
+        from_trace = IntervalTimeline.from_trace
+        monkeypatch.setattr(
+            IntervalTimeline,
+            "from_trace",
+            lambda trace, n_nodes=None: swept.append(n_nodes) or from_trace(trace, n_nodes),
+        )
+        for task in tasks:
+            assert runner_module._execute_payload(task)
+        assert swept == []  # a forked worker would inherit every timeline it reads
 
     def test_custom_registered_architecture_runs_by_name(self):
         name = "test-dual-rail"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.registry import REGISTRY
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultEvent, FaultTrace
@@ -11,7 +12,6 @@ from repro.hbd import (
     NVLHBD,
     SiPRingHBD,
     architecture_by_name,
-    list_architectures,
 )
 from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputReport, GoodputSimulator
@@ -142,7 +142,7 @@ class TestGoodputSimulator:
         timeline = trace4.interval_timeline(720)
         config = GoodputConfig(job_gpus=2560, tp_size=tp_size)
         waited = []
-        for name in list_architectures():
+        for name in REGISTRY.names():
             arch = architecture_by_name(name)
             column = replay_intervals(arch, timeline, tp_size).usable_gpus
             plain = GoodputSimulator(arch, trace4, config, n_nodes=720).run()

@@ -2,9 +2,14 @@
 
 networkx serves only the four ``graph()`` exports, and the orchestrator, the
 device models, the DCN and the training simulator serve only the
-``cross_tor`` and ``mfu`` experiments and their CLI commands.  Each test
-starts a fresh interpreter with ``PYTHONPATH=src``, because this test process
-has long since imported all of them.
+``cross_tor`` and ``mfu`` experiments and their CLI commands.  No capacity or
+scheduling run executes the collectives, the fault-model calibrator, the
+i.i.d. fault model, the fault-ratio sweep, the schedule simulator or the
+waste bound, so it loads none of them either.  Only ``repro.api``,
+``repro.hbd``, ``repro.mc`` and ``repro.scheduler`` import modules from
+their ``__init__``.  Each test starts a fresh interpreter with
+``PYTHONPATH=src``, because this test process has long since imported all of
+them.
 """
 
 import json
@@ -12,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.api import ExperimentSpec, ResultSet, run_experiment
 from repro.api.spec import KNOWN_EXPERIMENTS
@@ -37,6 +44,29 @@ NOT_LOADED_BY_A_CAPACITY_RUN = (
     "repro.dcn",
     "repro.core.node",
     "repro.core.orchestrator",
+    "repro.collectives",
+    "repro.faults.calibrate",
+    "repro.faults.model",
+    "repro.simulation.schedule_sim",
+    "repro.simulation.sweeps",
+    "repro.analysis.waste_bound",
+)
+
+#: Packages whose ``__init__`` holds only a docstring (``repro`` adds
+#: ``__version__``).
+DOCSTRING_ONLY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.analysis",
+    "repro.collectives",
+    "repro.control",
+    "repro.cost",
+    "repro.dcn",
+    "repro.devtools",
+    "repro.faults",
+    "repro.hardware",
+    "repro.simulation",
+    "repro.training",
 )
 
 
@@ -105,11 +135,14 @@ def test_capacity_run_loads_no_orchestrator_device_dcn_or_training_code(tmp_path
     assert json.loads(loaded) == []
 
 
-def test_import_repro_loads_no_submodule():
+@pytest.mark.parametrize("package", DOCSTRING_ONLY_PACKAGES)
+def test_import_repro_loads_no_submodule(package):
     loaded = run_fresh(
-        "import json, sys\n"
+        "import importlib, json, sys\n"
+        "importlib.import_module(sys.argv[1])\n"
         "import repro\n"
-        "print(json.dumps([repro.__version__,\n"
-        "                  sorted(m for m in sys.modules if m.startswith('repro.'))]))\n"
+        "print(json.dumps([repro.__version__, sorted(\n"
+        "    m for m in sys.modules if m == 'repro' or m.startswith('repro.'))]))\n",
+        package,
     )
-    assert json.loads(loaded) == ["1.0.0", []]
+    assert json.loads(loaded) == ["1.0.0", sorted({"repro", package})]

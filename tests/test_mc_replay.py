@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.api.runner as runner_module
 import repro.api.spec as spec_module
 from repro.api.runner import ExperimentRunner
 from repro.api.spec import (
@@ -755,9 +754,8 @@ class TestInterpreterIndependence:
 
     @staticmethod
     def _fresh_run(monkeypatch, spec):
-        # Traces and timelines are rebuilt, so the stand-in reaches them too.
+        # Traces and their timelines are rebuilt, so the stand-in reaches them too.
         monkeypatch.setattr(spec_module, "_TRACE_CACHE", {})
-        monkeypatch.setattr(runner_module, "_TIMELINE_CACHE", {})
         return ExperimentRunner(spec).run().to_json()
 
     @pytest.mark.parametrize("num_seeds", [1, 3])

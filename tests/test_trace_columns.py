@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.typing import NDArray
 
-import repro.api.runner as runner_module
 import repro.api.spec as spec_module
 from repro.api import (
     ArchitectureSpec,
@@ -524,9 +523,8 @@ def _runner_spec(experiments, trace, **overrides):
     ids=["two-seed-waste-goodput", "blast-radius-correlated"],
 )
 def test_runner_builds_no_fault_event(monkeypatch, spec):
-    # Empty trace and timeline memos, so the run generates every trace.
+    # An empty trace memo, so the run generates every trace.
     monkeypatch.setattr(spec_module, "_TRACE_CACHE", {})
-    monkeypatch.setattr(runner_module, "_TIMELINE_CACHE", {})
     built = count_fault_events(monkeypatch)
     generated = []
     build = TraceSpec.build
