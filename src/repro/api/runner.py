@@ -37,6 +37,7 @@ column for seed *i*.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -59,7 +60,7 @@ from repro.api.spec import (
     Scenario,
     TraceSpec,
 )
-from repro.cache import ResultCache, content_key
+from repro.cache import ResultCache, _package_version, content_key
 from repro.hbd.base import HBDArchitecture
 from repro.mc import BatchSeries, TraceBatch, replay_batch, seed_stats
 from repro.scheduler import ClusterReport, ClusterScheduler, PlacementPolicy, placement_by_name
@@ -325,6 +326,12 @@ def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[
     ]
 
 
+def _job_cap(architecture: HBDArchitecture, n_nodes: int, tp_size: int) -> int:
+    """Half the simulated cluster as a TP multiple: one job queue suits the whole line-up."""
+    total_gpus = architecture.total_gpus(n_nodes)
+    return max(tp_size, total_gpus // 2 // tp_size * tp_size)
+
+
 def _schedule_report(
     scenario: Scenario,
     architecture: HBDArchitecture,
@@ -334,19 +341,15 @@ def _schedule_report(
 ) -> ClusterReport:
     """Replay the scenario's job queue on one trace with the given placement.
 
-    The one scheduler run behind ``schedule`` and ``blast_radius``.  Jobs
-    are capped at half the simulated cluster, rounded to a TP multiple, so
-    the same workload spec stays schedulable across the whole architecture
-    line-up (fragmentation differs per architecture).
+    The one scheduler run behind ``schedule`` and ``blast_radius``.
     """
     assert scenario.workload is not None  # ExperimentRunner.run checked it
     timeline = trace_spec.build().interval_timeline(scenario.n_nodes)
-    total_gpus = architecture.total_gpus(timeline.n_nodes)
-    default_max = max(tp_size, total_gpus // 2 // tp_size * tp_size)
+    max_gpus = _job_cap(architecture, timeline.n_nodes, tp_size)
     return ClusterScheduler(
         architecture,
         timeline,
-        scenario.workload.build(tp_size=tp_size, max_gpus=default_max),
+        scenario.workload.build(tp_size=tp_size, max_gpus=max_gpus),
         policy=scenario.scheduler.build(),
         horizon_hours=scenario.scheduler.horizon_hours,
         placement=placement,
@@ -639,6 +642,26 @@ _HANDLERS: dict[str, Callable[[ExperimentSpec, Mapping[str, Any]], list[dict[str
     "cost": _run_cost_task,
 }
 
+#: The option keys each experiment reads; the runner rejects any other key.
+_OPTION_KEYS: dict[str, tuple[str, ...]] = {
+    "waste": (),
+    "max_job_scale": (),
+    "fault_waiting": ("job_scales",),
+    "goodput": ("job_gpus", "checkpoint_interval_hours", "restart_overhead_hours"),
+    "schedule": (),
+    "blast_radius": ("placements", "correlations"),
+    "cross_tor": (
+        "methods",
+        "k",
+        "nodes_per_tor",
+        "tors_per_domain",
+        "job_scale_ratio",
+        "fault_ratio",
+    ),
+    "mfu": ("model", "gpus", "global_batch", "imbalance", "max_tp"),
+    "cost": ("include_hpn",),
+}
+
 #: Experiments swept over the architecture × TP-size grid.
 _ARCH_SWEEP_EXPERIMENTS = (
     "waste",
@@ -793,19 +816,27 @@ class ExperimentRunner:
     def _check_scenario(self) -> None:
         """Reject a scenario that would fail mid-run, before any work starts.
 
-        When an experiment sweeps the architectures, checks that the
-        simulated cluster fits in the trace and builds each architecture
-        once, so unknown names and bad parameters raise before the cache is
-        read or a trace is built; checks the goodput job at every TP size;
-        checks that the scheduling experiments have a job queue; and parses
-        the ``fault_waiting`` job scales, the ``blast_radius`` placements and
-        correlations and the ``mfu`` model (:meth:`tasks` parses the
-        ``cross_tor`` methods).  This runs here rather than at spec parse
-        time because plugin architectures may register after a spec is
-        parsed.
+        Rejects an option key its experiment does not read.  When an
+        experiment sweeps the architectures, checks that the simulated
+        cluster fits in the trace and builds each architecture once, so
+        unknown names and bad parameters raise before the cache is read or a
+        trace is built; checks the goodput job at every TP size; checks that
+        the scheduling experiments have a job queue and builds a synthetic
+        queue's config for every architecture and TP size, with the job cap
+        the task passes; and parses the ``fault_waiting`` job scales, the
+        ``blast_radius`` placements and correlations and the ``mfu`` model
+        (:meth:`tasks` parses the ``cross_tor`` methods).  This runs here
+        rather than at spec parse time because plugin architectures may
+        register after a spec is parsed.
         """
         scenario = self.spec.scenario
         experiments = self.spec.experiments
+        for experiment, options in self.spec.options:
+            known = _OPTION_KEYS[experiment]
+            unknown = sorted(key for key, _ in options if key not in known)
+            if unknown:
+                raise ValueError(f"unknown {experiment} option(s) {unknown}; known: {list(known)}")
+        architectures: list[HBDArchitecture] = []
         if any(experiment in _ARCH_SWEEP_EXPERIMENTS for experiment in experiments):
             trace = scenario.trace
             if scenario.n_nodes is not None and scenario.n_nodes > trace.n_nodes:
@@ -814,15 +845,27 @@ class ExperimentRunner:
                     f"{trace.n_nodes} nodes (source_nodes={trace.source_nodes} at 8 GPUs "
                     f"per node, gpus_per_node={trace.gpus_per_node})"
                 )
-            for arch_spec in scenario.architectures:
-                arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
+            architectures = [
+                arch_spec.build(gpus_per_node=trace.gpus_per_node)
+                for arch_spec in scenario.architectures
+            ]
         if "goodput" in experiments:
             for tp_size in scenario.tp_sizes:
                 _goodput_config(self.spec, tp_size)
-        if scenario.workload is None:
-            for experiment in experiments:
-                if experiment in _WORKLOAD_EXPERIMENTS:
-                    raise ValueError(f"experiment {experiment!r} needs scenario.workload")
+        scheduling = [e for e in experiments if e in _WORKLOAD_EXPERIMENTS]
+        if scheduling:
+            workload = scenario.workload
+            if workload is None:
+                raise ValueError(f"experiment {scheduling[0]!r} needs scenario.workload")
+            if workload.kind == "synthetic":
+                n_nodes = _scenario_nodes(scenario)
+                for architecture, tp_size in itertools.product(architectures, scenario.tp_sizes):
+                    try:
+                        workload.config(tp_size, _job_cap(architecture, n_nodes, tp_size))
+                    except ValueError as error:
+                        raise ValueError(
+                            f"workload at TP-{tp_size} on {architecture.name}: {error}"
+                        ) from None
         if "fault_waiting" in experiments:
             _fault_waiting_scales(self.spec)
         if "blast_radius" in experiments:
@@ -915,10 +958,3 @@ def run_experiment(
     True
     """
     return ExperimentRunner(spec, max_workers=max_workers, cache=cache).run()
-
-
-def _package_version() -> str:
-    import repro
-
-    version = getattr(repro, "__version__", "0")
-    return str(version)

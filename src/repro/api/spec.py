@@ -34,6 +34,7 @@ from repro.cache import CACHE_MODES
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
 from repro.scheduler.jobs import JobSpec, check_finite, check_known_fields
+from repro.scheduler.workload import WorkloadConfig, generate_workload
 from repro.scheduler.placement import (
     PLACEMENT_NAMES,
     PlacementPolicy,
@@ -43,6 +44,7 @@ from repro.scheduler.policies import POLICY_NAMES, SchedulingPolicy, policy_by_n
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.registry import ArchitectureRegistry
+    from repro.faults.correlated import CorrelatedFaultConfig
     from repro.hbd.base import HBDArchitecture
 
 #: Experiments the runner knows how to execute.
@@ -97,20 +99,15 @@ class CorrelatedFaultSpec:
     repair_sigma: float = 1.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.correlation <= 1.0:
-            raise ValueError("correlation must be in [0, 1]")
-        if self.domain_size < 1:
-            raise ValueError("domain_size must be >= 1")
-        if self.domain_rate_per_day <= 0.0:
-            raise ValueError("domain_rate_per_day must be positive")
-        if self.burst_multiplier < 1.0:
-            raise ValueError("burst_multiplier must be >= 1")
-        if self.mean_quiet_days <= 0.0 or self.mean_burst_days <= 0.0:
-            raise ValueError("mean_quiet_days and mean_burst_days must be positive")
-        if self.repair_median_hours <= 0.0:
-            raise ValueError("repair_median_hours must be positive")
-        if self.repair_sigma < 0.0:
-            raise ValueError("repair_sigma must be >= 0")
+        # The generator config holds every check: building it here rejects a
+        # bad overlay before any work starts.
+        self.config(SyntheticTraceConfig())
+
+    def config(self, base: SyntheticTraceConfig) -> CorrelatedFaultConfig:
+        """This overlay's generator config on top of the ``base`` generator."""
+        from repro.faults.correlated import CorrelatedFaultConfig
+
+        return CorrelatedFaultConfig(base=base, **dataclasses.asdict(self))
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -207,24 +204,9 @@ class TraceSpec:
             # At correlation=0 the correlated generator is an exact
             # pass-through, so this branch is byte-identical to the plain
             # generator whenever the overlay is inert.
-            from repro.faults.correlated import (
-                CorrelatedFaultConfig,
-                generate_correlated_trace,
-            )
+            from repro.faults.correlated import generate_correlated_trace
 
-            trace = generate_correlated_trace(
-                CorrelatedFaultConfig(
-                    base=base,
-                    correlation=self.correlated.correlation,
-                    domain_size=self.correlated.domain_size,
-                    domain_rate_per_day=self.correlated.domain_rate_per_day,
-                    burst_multiplier=self.correlated.burst_multiplier,
-                    mean_quiet_days=self.correlated.mean_quiet_days,
-                    mean_burst_days=self.correlated.mean_burst_days,
-                    repair_median_hours=self.correlated.repair_median_hours,
-                    repair_sigma=self.correlated.repair_sigma,
-                )
-            )
+            trace = generate_correlated_trace(self.correlated.config(base))
         else:
             trace = generate_synthetic_trace(base)
         if self.gpus_per_node == 4:
@@ -319,7 +301,10 @@ class WorkloadSpec:
     :func:`repro.scheduler.workload.generate_workload`; ``kind="explicit"``
     carries the jobs verbatim.  ``tp_size=None`` / ``max_gpus=None`` defer to
     the sweep's TP size and half the simulated cluster respectively, so one
-    workload spec scales across the architecture x TP grid.
+    workload spec scales across the architecture x TP grid.  A synthetic
+    spec is checked by its :class:`~repro.scheduler.workload.WorkloadConfig`
+    at parse time, with an unset ``tp_size`` standing in as 1 and an unset
+    ``max_gpus`` as the TP size.
 
     >>> spec = WorkloadSpec(n_jobs=3, seed=1)
     >>> jobs = spec.build(tp_size=8, max_gpus=64)
@@ -352,30 +337,26 @@ class WorkloadSpec:
             )
         if self.kind == "explicit" and not self.jobs:
             raise ValueError("explicit workloads need at least one job")
-        if self.kind == "synthetic" and self.jobs:
-            raise ValueError("synthetic workloads must not carry explicit jobs")
+        if self.kind == "synthetic":
+            if self.jobs:
+                raise ValueError("synthetic workloads must not carry explicit jobs")
+            tp_size = self.tp_size if self.tp_size is not None else 1
+            self.config(tp_size, max_gpus=tp_size)
+
+    def config(self, tp_size: int, max_gpus: int) -> WorkloadConfig:
+        """The synthetic queue's generator config; the arguments fill the unset fields."""
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(WorkloadConfig)}
+        if self.tp_size is None:
+            fields["tp_size"] = tp_size
+        if self.max_gpus is None:
+            fields["max_gpus"] = max_gpus
+        return WorkloadConfig(**fields)
 
     def build(self, tp_size: int, max_gpus: int) -> tuple[JobSpec, ...]:
         """The concrete job queue (``tp_size`` / ``max_gpus`` fill the defaults)."""
         if self.kind == "explicit":
             return self.jobs
-        from repro.scheduler.workload import WorkloadConfig, generate_workload
-
-        return generate_workload(
-            WorkloadConfig(
-                n_jobs=self.n_jobs,
-                seed=self.seed,
-                tp_size=self.tp_size if self.tp_size is not None else tp_size,
-                max_gpus=self.max_gpus if self.max_gpus is not None else max_gpus,
-                mean_interarrival_hours=self.mean_interarrival_hours,
-                median_tp_groups=self.median_tp_groups,
-                sigma_tp_groups=self.sigma_tp_groups,
-                median_work_hours=self.median_work_hours,
-                sigma_work_hours=self.sigma_work_hours,
-                checkpoint_interval_hours=self.checkpoint_interval_hours,
-                restart_overhead_hours=self.restart_overhead_hours,
-            )
-        )
+        return generate_workload(self.config(tp_size, max_gpus))
 
     def to_dict(self) -> dict[str, Any]:
         data = dataclasses.asdict(self)

@@ -21,9 +21,11 @@ regenerated without writing Python:
 * ``architectures`` -- list every architecture in the plugin registry.
 * ``docs``          -- emit the generated CLI reference (docs/cli.md).
 
-The trace-driven subcommands are all built on :class:`repro.api.
-ExperimentRunner`, so they share memoized trace generation and can fan the
-architecture line-up out over a process pool (``--workers``).
+Every subcommand that computes results runs an :class:`repro.api.
+ExperimentSpec` through :class:`repro.api.ExperimentRunner` and only formats
+its rows, so the CLI prints what ``run`` computes.  The trace-driven ones
+share memoized trace generation and can fan the architecture line-up out
+over a process pool (``--workers``).
 
 Run ``python -m repro.cli --help`` (or the ``infinitehbd-repro`` entry point)
 for the full option list.
@@ -38,6 +40,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from typing import Any, cast
 
+from repro.api.results import ResultSet
 from repro.api.runner import ExperimentRunner
 from repro.api.spec import (
     CorrelatedFaultSpec,
@@ -75,20 +78,42 @@ def cmd_trace(args: argparse.Namespace) -> list[str]:
     return lines
 
 
-def cmd_waste(args: argparse.Namespace) -> list[str]:
+def _run(scenario: Scenario, experiment: str, workers: int | None = 1, **options: Any) -> ResultSet:
+    """Run one experiment over ``scenario`` through :class:`ExperimentRunner`.
+
+    An option left unset (``None``) takes the runner's default; with none
+    set, the spec has no ``options`` entry, like a spec file without one.
+    """
+    options = {key: value for key, value in options.items() if value is not None}
     spec = ExperimentSpec.of(
-        scenario=Scenario(
-            name="cli-waste",
-            trace=TraceSpec(days=args.days, seed=args.seed, gpus_per_node=4),
-            architectures=default_architecture_specs(),
-            tp_sizes=(args.tp,),
-            n_nodes=args.nodes,
-            seed=args.seed,
-        ),
-        experiments=("waste",),
-        max_workers=args.workers,
+        scenario=scenario,
+        experiments=(experiment,),
+        options={experiment: options} if options else None,
+        max_workers=workers,
     )
-    results = ExperimentRunner(spec).run()
+    return ExperimentRunner(spec).run()
+
+
+def _trace_scenario(
+    args: argparse.Namespace,
+    name: str,
+    correlated: CorrelatedFaultSpec | None = None,
+    **fields: Any,
+) -> Scenario:
+    """The paper's line-up over the ``--days`` / ``--seed`` trace, at ``--nodes`` and ``--tp``."""
+    return Scenario(
+        name=name,
+        trace=TraceSpec(days=args.days, seed=args.seed, gpus_per_node=4, correlated=correlated),
+        architectures=default_architecture_specs(),
+        tp_sizes=(args.tp,),
+        n_nodes=args.nodes,
+        seed=args.seed,
+        **fields,
+    )
+
+
+def cmd_waste(args: argparse.Namespace) -> list[str]:
+    results = _run(_trace_scenario(args, "cli-waste"), "waste", args.workers)
     lines = [f"{'architecture':20s} {'mean waste':>11s} {'p99 waste':>10s} {'min usable':>11s}"]
     for result in results:
         lines.append(
@@ -99,93 +124,68 @@ def cmd_waste(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_orchestrate(args: argparse.Namespace) -> list[str]:
-    import numpy as np
+    from repro.faults.model import fault_count
 
-    from repro.core.orchestrator import JobSpec, Orchestrator
-    from repro.dcn.fattree import FatTreeConfig
-    from repro.faults.model import sample_fault_set
-
-    gpus_per_node = 4
-    n_nodes = args.gpus // gpus_per_node
-    orchestrator = Orchestrator(
-        n_nodes=n_nodes,
+    n_nodes = args.gpus // 4
+    results = _run(
+        Scenario(name="cli-orchestrate", tp_sizes=(args.tp,), n_nodes=n_nodes, seed=args.seed),
+        "cross_tor",
         k=args.k,
-        fat_tree_config=FatTreeConfig(
-            n_nodes=n_nodes, nodes_per_tor=4, tors_per_domain=args.tors_per_domain
-        ),
+        job_scale_ratio=args.job_scale_ratio,
+        fault_ratio=args.fault_ratio,
+        tors_per_domain=args.tors_per_domain,
     )
-    job_gpus = int(args.job_scale_ratio * args.gpus) // args.tp * args.tp
-    job = JobSpec(total_gpus=job_gpus, tp_size=args.tp, gpus_per_node=gpus_per_node)
-    faults = sample_fault_set(n_nodes, args.fault_ratio, np.random.default_rng(args.seed))
     lines = [
-        f"cluster={args.gpus} GPUs  job={job_gpus} GPUs (TP-{args.tp})  "
-        f"faults={len(faults)} nodes ({args.fault_ratio:.1%})"
+        f"cluster={args.gpus} GPUs  job={results[0].metric('job_gpus')} GPUs (TP-{args.tp})  "
+        f"faults={fault_count(n_nodes, args.fault_ratio)} nodes ({args.fault_ratio:.1%})"
     ]
-    for method in ("greedy", "optimized"):
-        result, report = orchestrator.place_and_report(job, faults, method=method, seed=args.seed)
+    for result in results:
         lines.append(
-            f"{method:10s} satisfied={result.satisfied} "
-            f"constraints={result.constraints_used} "
-            f"cross_tor_rate={report.cross_tor_rate:.4f}"
+            f"{result.architecture.removeprefix('orchestrator:'):10s} "
+            f"satisfied={result.metric('satisfied')} "
+            f"constraints={result.metric('constraints_used')} "
+            f"cross_tor_rate={result.metric('cross_tor_rate'):.4f}"
         )
     return lines
 
 
 def cmd_mfu(args: argparse.Namespace) -> list[str]:
-    from repro.training.models import gpt_moe_1t, llama31_405b
-    from repro.training.parallelism import search_optimal_strategy
-
-    if args.model == "llama":
-        model = llama31_405b()
-        global_batch = args.global_batch or 2048
-        ep_choices: Sequence[int] = (1,)
-    else:
-        model = gpt_moe_1t()
-        global_batch = args.global_batch or 1536
-        ep_choices = (1, 2, 4, 8)
-    result = search_optimal_strategy(
-        model, args.gpus, global_batch, ep_choices=ep_choices,
-        expert_imbalance_coef=args.imbalance, max_tp=args.max_tp,
+    (result,) = _run(
+        Scenario(name="cli-mfu"),
+        "mfu",
+        model=args.model,
+        gpus=args.gpus,
+        global_batch=args.global_batch,
+        imbalance=args.imbalance,
+        max_tp=args.max_tp,
     )
-    if result.best_config is None:
-        return [f"no feasible strategy for {model.name} on {args.gpus} GPUs"]
-    c, e = result.best_config, result.best_estimate
+    if not result.metric("feasible"):
+        return [f"no feasible strategy for {result.architecture} on {args.gpus} GPUs"]
+    metric = result.metric
     return [
-        f"model={model.name} gpus={args.gpus} global_batch={global_batch}",
-        f"best: TP={c.tp} PP={c.pp} DP={c.dp} EP={c.ep}",
-        f"mfu={e.mfu:.4f} iteration_time_s={e.iteration_time_s:.3f} "
-        f"bubble={e.bubble_fraction:.3f} memory_GiB={e.memory_gib_per_gpu:.1f}",
+        f"model={result.architecture} gpus={args.gpus} global_batch={metric('global_batch')}",
+        f"best: TP={metric('tp')} PP={metric('pp')} DP={metric('dp')} EP={metric('ep')}",
+        f"mfu={metric('mfu'):.4f} iteration_time_s={metric('iteration_time_s'):.3f} "
+        f"bubble={metric('bubble_fraction'):.3f} memory_GiB={metric('memory_gib_per_gpu'):.1f}",
     ]
 
 
 def cmd_cost(args: argparse.Namespace) -> list[str]:
-    from repro.cost.analysis import interconnect_cost_table
-
-    rows = interconnect_cost_table(include_hpn=args.include_hpn)
+    results = _run(Scenario(name="cli-cost"), "cost", include_hpn=args.include_hpn)
     lines = [f"{'architecture':20s} {'$/GPU':>10s} {'W/GPU':>8s} {'$/GBps':>8s} {'W/GBps':>8s}"]
-    for row in rows:
+    for result in results:
         lines.append(
-            f"{row.name:20s} {row.cost_per_gpu:10.2f} {row.power_per_gpu:8.2f} "
-            f"{row.cost_per_gBps:8.2f} {row.power_per_gBps:8.3f}"
+            f"{result.architecture:20s} {result.metric('cost_per_gpu'):10.2f} "
+            f"{result.metric('power_per_gpu'):8.2f} {result.metric('cost_per_gBps'):8.2f} "
+            f"{result.metric('power_per_gBps'):8.3f}"
         )
     return lines
 
 
 def cmd_goodput(args: argparse.Namespace) -> list[str]:
-    spec = ExperimentSpec.of(
-        scenario=Scenario(
-            name="cli-goodput",
-            trace=TraceSpec(days=args.days, seed=args.seed, gpus_per_node=4),
-            architectures=default_architecture_specs(),
-            tp_sizes=(args.tp,),
-            n_nodes=args.nodes,
-            seed=args.seed,
-            job_gpus=args.job_gpus,
-        ),
-        experiments=("goodput",),
-        max_workers=args.workers,
+    results = _run(
+        _trace_scenario(args, "cli-goodput", job_gpus=args.job_gpus), "goodput", args.workers
     )
-    results = ExperimentRunner(spec).run()
     # job_impacting_faults is an expected value (float) since the exact
     # event-driven goodput accounting landed.
     lines = [f"{'architecture':20s} {'goodput':>8s} {'waiting':>8s} {'restarts':>9s}"]
@@ -204,44 +204,34 @@ def cmd_schedule(args: argparse.Namespace) -> list[str]:
         if args.correlation is not None
         else None
     )
-    spec = ExperimentSpec.of(
-        scenario=Scenario(
-            name="cli-schedule",
-            trace=TraceSpec(
-                days=args.days, seed=args.seed, gpus_per_node=4, correlated=correlated
-            ),
-            architectures=default_architecture_specs(),
-            tp_sizes=(args.tp,),
-            n_nodes=args.nodes,
+    scenario = _trace_scenario(
+        args,
+        "cli-schedule",
+        correlated=correlated,
+        workload=WorkloadSpec(
+            n_jobs=args.jobs,
             seed=args.seed,
-            workload=WorkloadSpec(
-                n_jobs=args.jobs,
-                seed=args.seed,
-                mean_interarrival_hours=args.mean_interarrival,
-                median_work_hours=args.median_work,
-            ),
-            scheduler=SchedulerSpec(
-                policy=args.policy,
-                preemptive=args.preemptive,
-                placement=args.placement,
-                backfill=args.backfill,
-                gittins_threshold_gpu_hours=args.gittins_threshold,
-                gittins_levels=args.gittins_levels,
-                gittins_starve_limit=args.gittins_starve_limit,
-                lookahead_k=args.lookahead_k,
-                optimizer_horizon_hours=args.optimizer_horizon,
-                optimizer_stability_bonus=args.optimizer_stability,
-            ),
+            mean_interarrival_hours=args.mean_interarrival,
+            median_work_hours=args.median_work,
         ),
-        experiments=("schedule",),
-        max_workers=args.workers,
+        scheduler=SchedulerSpec(
+            policy=args.policy,
+            preemptive=args.preemptive,
+            placement=args.placement,
+            backfill=args.backfill,
+            gittins_threshold_gpu_hours=args.gittins_threshold,
+            gittins_levels=args.gittins_levels,
+            gittins_starve_limit=args.gittins_starve_limit,
+            lookahead_k=args.lookahead_k,
+            optimizer_horizon_hours=args.optimizer_horizon,
+            optimizer_stability_bonus=args.optimizer_stability,
+        ),
     )
-    results = ExperimentRunner(spec).run()
-    # Report the resolved preemption mode (gittins / optimizer preempt by
-    # default even without --preemptive).
-    resolved = spec.scenario.scheduler.build().preemptive
+    results = _run(scenario, "schedule", args.workers)
+    # The rows carry the resolved preemption mode (gittins / optimizer
+    # preempt by default even without --preemptive).
     lines = [
-        f"policy={args.policy} preemptive={resolved} "
+        f"policy={args.policy} preemptive={results[0].metric('preemptive')} "
         f"placement={args.placement or 'expected-value'} "
         f"backfill={args.backfill} jobs={args.jobs}",
         f"{'architecture':20s} {'done':>9s} {'makespan':>9s} {'mean JCT':>9s} "

@@ -48,10 +48,6 @@ class RingAssignment:
     node_ids: list[int]
     state: RingState = RingState.ACTIVE
 
-    @property
-    def gpu_count(self) -> int:
-        return len(self.node_ids)
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in self.node_ids
 

@@ -52,10 +52,6 @@ class TPGroup:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def rank_node(self, rank: int) -> int:
-        """Node hosting TP rank position ``rank`` (node granularity)."""
-        return self.nodes[rank]
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -122,18 +118,6 @@ class DeploymentPlan:
         """Position of ``node`` in deployment (HBD) order."""
         return self._position[node]
 
-    def hbd_neighbors(self, node: int) -> list[int]:
-        """Nodes within K hops of ``node`` along the deployment order."""
-        pos = self.position_of(node)
-        result = []
-        for offset in range(-self.k, self.k + 1):
-            if offset == 0:
-                continue
-            idx = pos + offset
-            if 0 <= idx < len(self.order):
-                result.append(self.order[idx])
-        return result
-
     def edges(self) -> list[tuple[int, int]]:
         """All HBD links implied by the deployment (within K positions)."""
         result = []
@@ -155,9 +139,6 @@ class OrchestrationResult:
     @property
     def placed_groups(self) -> int:
         return len(self.placement)
-
-    def placed_gpus(self, gpus_per_node: int) -> int:
-        return sum(len(g) for g in self.placement) * gpus_per_node
 
     def as_node_lists(self) -> list[list[int]]:
         """Placement as plain lists (for the traffic model)."""

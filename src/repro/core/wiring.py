@@ -99,11 +99,6 @@ class WiringPlan:
             return 0.0
         return sum(1 for c in self.cables if c.crosses_tor) / len(self.cables)
 
-    def cross_domain_cable_fraction(self) -> float:
-        if not self.cables:
-            return 0.0
-        return sum(1 for c in self.cables if c.crosses_domain) / len(self.cables)
-
     def cables_of_node(self, node_id: int) -> list[CableSpec]:
         return [c for c in self.cables if node_id in (c.node_a, c.node_b)]
 

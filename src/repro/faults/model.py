@@ -16,20 +16,27 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 
-def sample_fault_set(
-    n_nodes: int, fault_ratio: float, rng: np.random.Generator
-) -> set[int]:
-    """Draw one i.i.d. node fault set at ``fault_ratio``.
+def fault_count(n_nodes: int, fault_ratio: float) -> int:
+    """Faulty nodes in one i.i.d. fault set: the rounded expectation.
 
-    The number of faulty nodes is the rounded expectation (the evaluation
-    sweeps the ratio deterministically); which nodes fail is uniform.
+    The evaluation sweeps the ratio deterministically, so the count is fixed
+    and only which nodes fail is random.
+
+    >>> fault_count(256, 0.02)
+    5
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     if not 0.0 <= fault_ratio <= 1.0:
         raise ValueError("fault_ratio must be in [0, 1]")
-    count = int(round(fault_ratio * n_nodes))
-    count = min(count, n_nodes)
+    return min(int(round(fault_ratio * n_nodes)), n_nodes)
+
+
+def sample_fault_set(
+    n_nodes: int, fault_ratio: float, rng: np.random.Generator
+) -> set[int]:
+    """Draw one i.i.d. node fault set of :func:`fault_count` uniform nodes."""
+    count = fault_count(n_nodes, fault_ratio)
     if count == 0:
         return set()
     chosen = rng.choice(n_nodes, size=count, replace=False)

@@ -54,10 +54,6 @@ class FaultInterval:
     def duration_hours(self) -> float:
         return self.end_hour - self.start_hour
 
-    @property
-    def fault_count(self) -> int:
-        return len(self.nodes)
-
 
 def sweep_intervals(
     events: Iterable[FaultEvent], duration_hours: float

@@ -263,22 +263,6 @@ class HBDArchitecture(abc.ABC):
         """Healthy-but-unusable GPUs over total GPUs."""
         return self.breakdown(n_nodes, faulty_nodes, tp_size).waste_ratio
 
-    def max_job_scale(
-        self, n_nodes: int, faulty_nodes: Iterable[int], tp_size: int
-    ) -> int:
-        """Largest job (in GPUs, multiple of ``tp_size``) that fits."""
-        return self.usable_gpus(n_nodes, faulty_nodes, tp_size)
-
-    def supports_job(
-        self,
-        n_nodes: int,
-        faulty_nodes: Iterable[int],
-        tp_size: int,
-        job_gpus: int,
-    ) -> bool:
-        """Whether a job of ``job_gpus`` GPUs can run under the fault set."""
-        return self.usable_gpus(n_nodes, faulty_nodes, tp_size) >= job_gpus
-
     # --------------------------------------------------------------- helpers
     def _clean_faults(
         self, n_nodes: int, faulty_nodes: Iterable[int]

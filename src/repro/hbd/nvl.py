@@ -148,18 +148,3 @@ class NVLHBD(HBDArchitecture):
             if unit < self.n_units(n_nodes):
                 counts[unit] = counts.get(unit, 0) + 1
         return counts
-
-
-def nvl36(gpus_per_node: int = 4) -> NVLHBD:
-    """NVIDIA GB200 NVL-36."""
-    return NVLHBD(36, gpus_per_node)
-
-
-def nvl72(gpus_per_node: int = 4) -> NVLHBD:
-    """NVIDIA GB200 NVL-72."""
-    return NVLHBD(72, gpus_per_node)
-
-
-def nvl576(gpus_per_node: int = 4) -> NVLHBD:
-    """NVIDIA GB200 NVL-576."""
-    return NVLHBD(576, gpus_per_node)

@@ -180,10 +180,6 @@ class MFUSimulator:
         )
         return weights_grads + optimizer + activations
 
-    def fits_in_memory(self, model: ModelConfig, parallel: ParallelismConfig) -> bool:
-        limit = self.hardware.memory_bytes * self.hardware.memory_utilization_limit
-        return self.memory_per_gpu(model, parallel) <= limit
-
     # -------------------------------------------------------------- estimate
     def estimate(self, model: ModelConfig, parallel: ParallelismConfig) -> MFUEstimate:
         """Estimate MFU and the iteration-time breakdown."""

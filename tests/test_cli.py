@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.runner import ExperimentRunner
 from repro.cli import build_parser, main
 
 
@@ -86,3 +87,72 @@ class TestCommands:
         assert "policy=smallest-first preemptive=True" in out
         assert "InfiniteHBD(K=3)" in out
         assert "NVL-72" in out
+
+
+class TestThroughTheRunner:
+    """Each computing subcommand formats the rows of one runner run."""
+
+    @pytest.mark.parametrize(
+        ("argv", "experiment"),
+        [
+            (["waste", "--days", "5", "--nodes", "96", "--workers", "1"], "waste"),
+            (
+                ["goodput", "--days", "5", "--nodes", "96", "--job-gpus", "128",
+                 "--workers", "1"],
+                "goodput",
+            ),
+            (
+                ["schedule", "--days", "5", "--nodes", "96", "--jobs", "5",
+                 "--workers", "1"],
+                "schedule",
+            ),
+            (["orchestrate", "--gpus", "1024", "--tors-per-domain", "16"], "cross_tor"),
+            (["mfu", "--gpus", "1024"], "mfu"),
+            (["cost"], "cost"),
+        ],
+        ids=["waste", "goodput", "schedule", "orchestrate", "mfu", "cost"],
+    )
+    def test_runs_the_runner_once(self, monkeypatch, capsys, argv, experiment):
+        runs = []
+        run = ExperimentRunner.run
+        monkeypatch.setattr(
+            ExperimentRunner,
+            "run",
+            lambda runner: runs.append(runner.spec.experiments) or run(runner),
+        )
+        assert main(argv) == 0
+        assert runs == [(experiment,)]
+
+    @pytest.mark.parametrize(
+        ("argv", "stdout"),
+        [
+            (
+                ["orchestrate", "--gpus", "1024", "--fault-ratio", "0.02"],
+                "cluster=1024 GPUs  job=864 GPUs (TP-32)  faults=5 nodes (2.0%)\n"
+                "greedy     satisfied=True constraints=0 cross_tor_rate=0.0806\n"
+                "optimized  satisfied=True constraints=5 cross_tor_rate=0.0065\n",
+            ),
+            (
+                ["mfu", "--model", "llama", "--gpus", "1024"],
+                "model=Llama-3.1-405B (MHA) gpus=1024 global_batch=2048\n"
+                "best: TP=8 PP=4 DP=32 EP=1\n"
+                "mfu=0.5657 iteration_time_s=85.054 bubble=0.045 memory_GiB=63.4\n",
+            ),
+            (
+                ["cost", "--include-hpn"],
+                "architecture              $/GPU    W/GPU   $/GBps   W/GBps\n"
+                "TPUv4                   1567.20    19.39     5.22    0.065\n"
+                "NVL-36                  9563.20    75.95    10.63    0.084\n"
+                "NVL-72                  9563.20    75.95    10.63    0.084\n"
+                "NVL-36x2               17924.00   152.12    19.92    0.169\n"
+                "NVL-576                30417.60   413.45    33.80    0.459\n"
+                "Alibaba-HPN             1042.49    90.75    20.85    1.815\n"
+                "InfiniteHBD(K=2)        2626.80    48.10     3.28    0.060\n"
+                "InfiniteHBD(K=3)        3740.60    72.05     4.68    0.090\n",
+            ),
+        ],
+        ids=["orchestrate", "mfu", "cost"],
+    )
+    def test_stdout_is_unchanged(self, capsys, argv, stdout):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout

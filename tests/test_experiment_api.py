@@ -508,6 +508,10 @@ class TestScalarReference:
         }
 
 
+#: The job queue of the fail-fast specs.
+QUEUE = WorkloadSpec(n_jobs=4, seed=1)
+
+
 class TestFailFast:
     """Bad scenarios raise before the cache is read or any trace is built."""
 
@@ -594,50 +598,100 @@ class TestFailFast:
         self.assert_rejected_before_any_replay(monkeypatch, "blast_radius", options, match)
 
     @pytest.mark.parametrize(
-        ("experiment", "options", "match"),
+        ("experiment", "options", "match", "workload"),
         [
             (
                 "fault_waiting",
                 {"job_scales": "256"},
                 "fault_waiting option 'job_scales' must be a list, got '256'",
+                QUEUE,
             ),
             (
                 "fault_waiting",
                 {"job_scales": [512, 0]},
                 "fault_waiting option 'job_scales': 0 is not a positive whole number",
+                QUEUE,
             ),
             (
                 "fault_waiting",
                 {"job_scales": [2560.5]},
                 r"fault_waiting option 'job_scales': 2560\.5 is not a positive whole number",
+                QUEUE,
             ),
             (
                 "cross_tor",
                 {"methods": ["greddy"]},
                 "cross_tor option 'methods': unknown method 'greddy'",
+                QUEUE,
             ),
             (
                 "cross_tor",
                 {"methods": "greedy"},
                 "cross_tor option 'methods' must be a list, got 'greedy'",
+                QUEUE,
             ),
-            ("mfu", {"model": "lama"}, "mfu option 'model': unknown model 'lama'"),
+            ("mfu", {"model": "lama"}, "mfu option 'model': unknown model 'lama'", QUEUE),
+            (
+                "goodput",
+                {"job_gpu": 512},
+                r"unknown goodput option\(s\) \['job_gpu'\]; known: \['job_gpus', "
+                r"'checkpoint_interval_hours', 'restart_overhead_hours'\]",
+                QUEUE,
+            ),
+            (
+                "cost",
+                {"include_hpm": True},
+                r"unknown cost option\(s\) \['include_hpm'\]; known: \['include_hpn'\]",
+                QUEUE,
+            ),
+            (
+                "waste",
+                {"anything": 1},
+                r"unknown waste option\(s\) \['anything'\]; known: \[\]",
+                QUEUE,
+            ),
+            (
+                "schedule",
+                {},
+                r"workload at TP-32 on InfiniteHBD\(K=3\): max_gpus must be at least one TP group",
+                WorkloadSpec(n_jobs=4, seed=1, max_gpus=16),
+            ),
+            (
+                "blast_radius",
+                {},
+                r"workload at TP-32 on InfiniteHBD\(K=3\): max_gpus must be at least one TP group",
+                WorkloadSpec(n_jobs=4, seed=1, max_gpus=16),
+            ),
+            (
+                # Half of 288 four-GPU nodes is 576 GPUs, below the fixed TP-1024.
+                "schedule",
+                {},
+                r"workload at TP-16 on InfiniteHBD\(K=3\): max_gpus must be at least one TP group",
+                WorkloadSpec(n_jobs=4, seed=1, tp_size=1024),
+            ),
         ],
         ids=["job-scales-not-a-list", "zero-job-scale", "fractional-job-scale",
-             "unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model"],
+             "unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model",
+             "unknown-goodput-key", "unknown-cost-key", "unknown-waste-key",
+             "schedule-job-cap-below-tp", "blast-radius-job-cap-below-tp",
+             "fixed-tp-above-half-the-cluster"],
     )
     def test_bad_options_rejected_before_any_replay(
-        self, monkeypatch, experiment, options, match
+        self, monkeypatch, experiment, options, match, workload
     ):
-        self.assert_rejected_before_any_replay(monkeypatch, experiment, options, match)
+        self.assert_rejected_before_any_replay(
+            monkeypatch, experiment, options, match, workload
+        )
 
     @staticmethod
-    def assert_rejected_before_any_replay(monkeypatch, experiment, options, match):
+    def assert_rejected_before_any_replay(
+        monkeypatch, experiment, options, match, workload=QUEUE
+    ):
         # waste plus the experiment: two architectures x TP 16 and 32 on 288
         # four-GPU nodes.
         spec = ExperimentSpec.of(
-            scenario=small_spec(workload=WorkloadSpec(n_jobs=4, seed=1)).scenario,
-            experiments=("waste", experiment),
+            scenario=small_spec(workload=workload).scenario,
+            experiments=tuple(dict.fromkeys(("waste", experiment))),
             options={experiment: options},
             max_workers=1,
         )
@@ -745,6 +799,16 @@ class TestScheduleExperiment:
             WorkloadSpec(kind="explicit")
         with pytest.raises(ValueError, match="unknown workload kind"):
             WorkloadSpec(kind="poisson")
+        # WorkloadConfig's checks, at parse time rather than in the first task.
+        for fields, match in [
+            ({"n_jobs": 0}, "n_jobs must be positive"),
+            ({"median_work_hours": -1}, "median job size and work must be positive"),
+            ({"mean_interarrival_hours": float("nan")}, "mean_interarrival_hours must be finite"),
+            ({"tp_size": 0}, "tp_size must be positive"),
+            ({"max_gpus": 1, "tp_size": 8}, "max_gpus must be at least one TP group"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                WorkloadSpec(**fields)
 
     def test_scheduler_spec_validation(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
