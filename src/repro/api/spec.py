@@ -27,7 +27,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.cache import CACHE_MODES
@@ -63,6 +63,18 @@ KNOWN_EXPERIMENTS = (
 #: Shared unknown-field validation (lives scheduler-side because this module
 #: imports repro.scheduler, not the other way around).
 _check_fields = check_known_fields
+
+
+def _check_distinct(field_name: str, entries: Sequence[Any], keys: Sequence[str]) -> None:
+    """Reject a sweep axis that lists one entry twice.
+
+    Every entry becomes its own tasks and result rows, so a repeat would be
+    computed and reported twice.  Two entries repeat when they compare equal
+    or share a key; the error names the field and the key.
+    """
+    for i, key in enumerate(keys):
+        if key in keys[:i] or entries[i] in entries[:i]:
+            raise ValueError(f"{field_name} lists {key} more than once")
 
 
 # --------------------------------------------------------------------- traces
@@ -547,6 +559,13 @@ class Scenario:
             raise ValueError("scenario name must be non-empty")
         if not self.tp_sizes or any(tp < 1 for tp in self.tp_sizes):
             raise ValueError("tp_sizes must be a non-empty tuple of positive ints")
+        _check_distinct("tp_sizes", self.tp_sizes, [repr(tp) for tp in self.tp_sizes])
+        # Keyed by the canonical JSON the runner keys its capacity cells by.
+        _check_distinct(
+            "architectures",
+            self.architectures,
+            [json.dumps(arch.to_dict(), sort_keys=True) for arch in self.architectures],
+        )
         if not 0.0 < self.availability <= 1.0:
             raise ValueError("availability must be in (0, 1]")
         if self.n_nodes is not None and self.n_nodes < 1:
@@ -651,6 +670,7 @@ class ExperimentSpec:
             )
         if not self.experiments:
             raise ValueError("experiments must be non-empty")
+        _check_distinct("experiments", self.experiments, [repr(e) for e in self.experiments])
         bad_options = sorted(
             name for name, _ in self.options if name not in KNOWN_EXPERIMENTS
         )

@@ -346,6 +346,15 @@ def cmd_lint(args: argparse.Namespace) -> list[str]:
     return lines
 
 
+def _whole_nodes(value: str) -> int:
+    """An ``orchestrate --gpus`` value: the runner simulates whole 4-GPU nodes."""
+    if not value.isdecimal() or int(value) < 1 or int(value) % 4:
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a positive multiple of the 4 GPUs per node"
+        )
+    return int(value)
+
+
 def _fmt_metric(value: Any) -> str:
     if isinstance(value, bool):
         return str(value)
@@ -401,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_waste)
 
     p = add_parser("orchestrate", help="cross-ToR traffic comparison")
-    p.add_argument("--gpus", type=int, default=8192)
+    p.add_argument("--gpus", type=_whole_nodes, default=8192,
+                   help="cluster size, a multiple of the 4 GPUs per node")
     p.add_argument("--tp", type=int, default=32)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--job-scale-ratio", type=float, default=0.85)

@@ -8,9 +8,8 @@
   top of the K-Hop topology (intra-node loopback semantics).
 * :mod:`repro.core.orchestrator` -- the HBD-DCN orchestration algorithms
   (Algorithms 1-5 of the paper) plus the greedy baseline.
-* :mod:`repro.core.alltoall_topology`, :mod:`repro.core.multidim` and
-  :mod:`repro.core.wiring` -- the power-of-two AllToAll wiring, multi-dimension
-  parallelism planning and the physical cabling plan.
+* :mod:`repro.core.alltoall_topology` -- the power-of-two AllToAll wiring
+  (Appendix G.3).
 
 The package imports none of these modules, so the capacity replays that read
 only :mod:`repro.core.khop_ring` do not load the orchestrator or the node

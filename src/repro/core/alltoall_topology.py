@@ -19,10 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -94,16 +90,6 @@ class PowerOfTwoTopology:
         if self.config.ring:
             diff = min(diff, self.config.n_nodes - diff)
         return diff in self.link_distances()
-
-    def graph(self) -> nx.Graph:
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.config.n_nodes))
-        for node in range(self.config.n_nodes):
-            for peer in self.neighbors(node):
-                g.add_edge(node, peer)
-        return g
 
     # ------------------------------------------------- binary exchange support
     def binary_exchange_rounds(

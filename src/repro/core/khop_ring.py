@@ -14,7 +14,7 @@ segments (a *breakpoint* in the paper's Appendix C terminology).
 
 :class:`KHopRingTopology` provides:
 
-* the explicit :mod:`networkx` graph of the topology,
+* the links of every node (:meth:`~KHopRingTopology.neighbors`),
 * healthy-segment extraction under an arbitrary fault set,
 * TP-group placement counting (used by the waste-ratio simulations), and
 * breakpoint counting (used to validate the Appendix C analysis).
@@ -24,10 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -141,25 +137,6 @@ class KHopRingTopology:
         if self.config.ring:
             return min(diff, self.config.n_nodes - diff)
         return diff
-
-    def graph(self, faulty: Iterable[int] | None = None) -> nx.Graph:
-        """Explicit networkx graph; faulty nodes (if given) are removed."""
-        import networkx as nx
-
-        faulty_set = set(faulty or ())
-        g = nx.Graph()
-        for node in range(self.config.n_nodes):
-            if node in faulty_set:
-                continue
-            g.add_node(node)
-        for node in range(self.config.n_nodes):
-            if node in faulty_set:
-                continue
-            for peer in self.neighbors(node):
-                if peer in faulty_set:
-                    continue
-                g.add_edge(node, peer)
-        return g
 
     # -------------------------------------------------------- healthy segments
     def healthy_segments(self, faulty: Iterable[int]) -> list[Segment]:

@@ -7,8 +7,6 @@ subpackage provides:
   aggregation-switch domains and a core layer, exposing the locality queries
   the orchestration algorithms need (ToR of a node, aggregation domain of a
   node, network distance).
-* :mod:`repro.dcn.railopt` -- the Rail-Optimized alternative with its own
-  traffic model.
 * :mod:`repro.dcn.traffic` -- the cross-ToR traffic accounting model used to
   regenerate Figure 17a-c.
 """

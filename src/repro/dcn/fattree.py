@@ -3,8 +3,7 @@
 The orchestration algorithms only need locality information from the DCN:
 which ToR a node hangs off, which aggregation-switch domain that ToR belongs
 to, and the hop distance between two nodes.  This module provides a compact
-Fat-Tree abstraction with exactly that interface plus a full
-:mod:`networkx` graph export for tests and visualisation.
+Fat-Tree abstraction with exactly that interface.
 
 Hierarchy (bottom-up):
 
@@ -28,10 +27,6 @@ Network distance (in switch hops, as used in Figure 6/7 of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; graph() imports networkx
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -130,27 +125,6 @@ class FatTree:
         """Position of ``node`` within its ToR (0..nodes_per_tor-1)."""
         self._check_node(node)
         return node % self.config.nodes_per_tor
-
-    # ------------------------------------------------------------------ graph
-    def graph(self) -> nx.Graph:
-        """Full switch-level graph (nodes, ToRs, aggregation groups, core)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        core = "core"
-        g.add_node(core, kind="core")
-        for domain in range(self.config.n_domains):
-            agg = f"agg{domain}"
-            g.add_node(agg, kind="aggregation")
-            g.add_edge(agg, core)
-        for tor in range(self.config.n_tors):
-            tor_name = f"tor{tor}"
-            g.add_node(tor_name, kind="tor")
-            g.add_edge(tor_name, f"agg{tor // self.config.tors_per_domain}")
-            for node in self.nodes_in_tor(tor):
-                g.add_node(node, kind="node")
-                g.add_edge(node, tor_name)
-        return g
 
     # --------------------------------------------------------------- helpers
     def _check_node(self, node: int) -> None:

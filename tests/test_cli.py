@@ -21,6 +21,16 @@ class TestParser:
             assert args.command == command
             assert callable(args.func)
 
+    @pytest.mark.parametrize("gpus", ["1027", "0"])
+    def test_orchestrate_gpus_must_fill_whole_nodes(self, capsys, gpus):
+        # The runner simulates gpus // 4 nodes, so another value would print a
+        # cluster size it does not simulate.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["orchestrate", "--gpus", gpus, "--tp", "4"])
+        assert exit_info.value.code == 2
+        assert (f"argument --gpus: '{gpus}' is not a positive multiple of the 4 GPUs per node"
+                in capsys.readouterr().err)
+
 
 class TestCommands:
     def test_cost_command(self, capsys):

@@ -140,6 +140,44 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match=f"n_nodes must be >= 1.*got {n_nodes}"):
             ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
 
+    @pytest.mark.parametrize(
+        ("field", "value", "match"),
+        [
+            ("experiments", ["waste", "goodput", "waste"], "experiments lists 'waste' more"),
+            ("tp_sizes", [8, 32, 8], "tp_sizes lists 8 more"),
+            ("architectures", ["NVL-72", "Big-Switch", "NVL-72"],
+             'architectures lists "NVL-72" more'),
+            ("architectures",
+             [{"name": "infinitehbd", "params": {"k": 3}},
+              {"params": {"k": 3}, "name": "infinitehbd"}],
+             'architectures lists {"name": "infinitehbd", "params": {"k": 3}} more'),
+        ],
+        ids=["experiment", "tp-size", "architecture", "architecture-with-params"],
+    )
+    def test_repeated_entry_rejected_at_parse_time(self, field, value, match):
+        data = {"scenario": small_spec().scenario.to_dict(), "experiments": ["waste"]}
+        (data if field == "experiments" else data["scenario"])[field] = value
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(data)
+
+    def test_architectures_that_compare_equal_are_repeats(self):
+        # k=3 and k=3.0 serialize differently but build the same architecture.
+        with pytest.raises(ValueError, match="architectures lists .* more than once"):
+            Scenario(
+                name="repeat",
+                architectures=(ArchitectureSpec.of("infinitehbd", k=3),
+                               ArchitectureSpec.of("infinitehbd", k=3.0)),
+            )
+
+    def test_architectures_with_the_same_json_are_repeats(self):
+        # Unsorted params compare unequal but share the runner's cell key.
+        with pytest.raises(ValueError, match="architectures lists .* more than once"):
+            Scenario(
+                name="repeat",
+                architectures=(ArchitectureSpec("sipring", (("a", 1), ("b", 2))),
+                               ArchitectureSpec("sipring", (("b", 2), ("a", 1)))),
+            )
+
     @pytest.mark.parametrize("gpus_per_node", [4, 8])
     @pytest.mark.parametrize(
         "correlated", [None, CorrelatedFaultSpec(correlation=0.5)], ids=["plain", "correlated"]

@@ -1,6 +1,5 @@
 """Tests for the Fat-Tree DCN model."""
 
-import networkx as nx
 import pytest
 
 from repro.dcn.fattree import FatTree, FatTreeConfig
@@ -89,21 +88,32 @@ class TestLocality:
 
 
 class TestGraph:
+    """The switch hierarchy that ``tor_of`` and ``domain_of`` define."""
+
     def test_graph_is_connected(self):
-        g = make().graph()
-        assert nx.is_connected(g)
+        tree = make()
+        assert all(tree.network_distance(a, b) in (0, 1, 3, 5)
+                   for a in range(64) for b in range(64))
 
     def test_graph_contains_all_layers(self):
-        g = make().graph()
-        kinds = nx.get_node_attributes(g, "kind")
-        assert sum(1 for k in kinds.values() if k == "node") == 64
-        assert sum(1 for k in kinds.values() if k == "tor") == 16
-        assert sum(1 for k in kinds.values() if k == "aggregation") == 4
-        assert sum(1 for k in kinds.values() if k == "core") == 1
+        tree = make()
+        tors = {tree.tor_of(node) for node in range(64)}
+        domains = {tree.domain_of(node) for node in range(64)}
+        assert tors == set(range(16))
+        assert domains == set(range(4))
+        # Each ToR hangs off exactly one aggregation domain.
+        assert len({(tree.tor_of(node), tree.domain_of(node)) for node in range(64)}) == 16
 
     def test_graph_path_lengths_reflect_hierarchy(self):
         tree = make()
-        g = tree.graph()
-        assert nx.shortest_path_length(g, 0, 1) == 2        # via ToR
-        assert nx.shortest_path_length(g, 0, 4) == 4        # via aggregation
-        assert nx.shortest_path_length(g, 0, 20) == 6       # via core
+        for a in range(64):
+            for b in range(64):
+                if a == b:
+                    expected = 0
+                elif tree.tor_of(a) == tree.tor_of(b):
+                    expected = 1    # via ToR
+                elif tree.domain_of(a) == tree.domain_of(b):
+                    expected = 3    # via aggregation
+                else:
+                    expected = 5    # via core
+                assert tree.network_distance(a, b) == expected

@@ -1,19 +1,21 @@
 """The import contract: a ``repro run`` process loads only what it runs.
 
-networkx serves only the four ``graph()`` exports, and the orchestrator, the
-device models, the DCN and the training simulator serve only the
-``cross_tor`` and ``mfu`` experiments and their CLI commands.  No capacity or
-scheduling run executes the collectives, the fault-model calibrator, the
-i.i.d. fault model, the fault-ratio sweep, the schedule simulator or the
-waste bound, so it loads none of them either.  Only ``repro.api``,
-``repro.hbd``, ``repro.mc`` and ``repro.scheduler`` import modules from
-their ``__init__``.  Each test starts a fresh interpreter with
-``PYTHONPATH=src``, because this test process has long since imported all of
-them.
+numpy is the package's only third-party dependency, and every experiment
+runs with networkx unimportable.  The orchestrator, the device models, the
+DCN and the training simulator serve only the ``cross_tor`` and ``mfu``
+experiments and their CLI commands.  No capacity or scheduling run executes
+the collectives, the fault-model calibrator, the i.i.d. fault model, the
+fault-ratio sweep or the waste bound, so it loads none of them either.  Only
+``repro.api``, ``repro.hbd``, ``repro.mc`` and ``repro.scheduler`` import
+modules from their ``__init__``.  Each run test starts a fresh interpreter
+with ``PYTHONPATH=src``, because this test process has long since imported
+all of them.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,7 +49,6 @@ NOT_LOADED_BY_A_CAPACITY_RUN = (
     "repro.collectives",
     "repro.faults.calibrate",
     "repro.faults.model",
-    "repro.simulation.schedule_sim",
     "repro.simulation.sweeps",
     "repro.analysis.waste_bound",
 )
@@ -146,3 +147,25 @@ def test_import_repro_loads_no_submodule(package):
         package,
     )
     assert json.loads(loaded) == ["1.0.0", sorted({"repro", package})]
+
+
+def third_party_imports(package_dir):
+    """Top-level names of the non-stdlib modules imported under ``package_dir``."""
+    names = set()
+    for path in package_dir.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.partition(".")[0])
+    return names - set(sys.stdlib_module_names) - {"repro"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_declared_dependencies_are_exactly_the_imported_ones():
+    import tomllib
+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in dependencies}
+    assert third_party_imports(REPO_ROOT / "src" / "repro") == declared

@@ -1,6 +1,5 @@
 """Tests for the K-Hop Ring / Line topology."""
 
-import networkx as nx
 import pytest
 
 from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig, Segment
@@ -8,6 +7,26 @@ from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig, Segment
 
 def make(n=32, k=2, r=4, ring=True):
     return KHopRingTopology(KHopTopologyConfig(n_nodes=n, k=k, gpus_per_node=r, ring=ring))
+
+
+def healthy_links(topo, faulty=frozenset()):
+    """Adjacency of the healthy nodes over the topology's links."""
+    return {
+        node: [peer for peer in topo.neighbors(node) if peer not in faulty]
+        for node in range(topo.config.n_nodes)
+        if node not in faulty
+    }
+
+
+def is_connected(adjacency):
+    """Whether a breadth-first search from one node reaches every node."""
+    start = next(iter(adjacency))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        frontier = [peer for node in frontier for peer in adjacency[node] if peer not in seen]
+        seen.update(frontier)
+    return len(seen) == len(adjacency)
 
 
 class TestConfig:
@@ -64,30 +83,29 @@ class TestNeighbors:
 
 
 class TestGraph:
+    """Connectivity of the node graph that ``neighbors()`` defines."""
+
     def test_graph_degree_matches_2k(self):
-        topo = make(n=20, k=2)
-        g = topo.graph()
-        assert all(deg == 4 for _, deg in g.degree())
+        links = healthy_links(make(n=20, k=2))
+        assert all(len(peers) == 4 for peers in links.values())
+        assert all(node in links[peer] for node, peers in links.items() for peer in peers)
 
     def test_graph_removes_faulty_nodes(self):
-        topo = make(n=20, k=2)
-        g = topo.graph(faulty={3, 4})
-        assert 3 not in g and 4 not in g
-        assert g.number_of_nodes() == 18
+        links = healthy_links(make(n=20, k=2), faulty={3, 4})
+        assert 3 not in links and 4 not in links
+        assert len(links) == 18
+        assert all(3 not in peers and 4 not in peers for peers in links.values())
 
     def test_graph_connected_without_faults(self):
-        g = make(n=30, k=2).graph()
-        assert nx.is_connected(g)
+        assert is_connected(healthy_links(make(n=30, k=2)))
 
     def test_graph_stays_connected_bypassing_single_fault(self):
-        topo = make(n=30, k=2)
-        g = topo.graph(faulty={7})
-        assert nx.is_connected(g)
+        assert is_connected(healthy_links(make(n=30, k=2), faulty={7}))
 
     def test_graph_disconnects_on_k_consecutive_faults_line(self):
         topo = make(n=30, k=2, ring=False)
-        g = topo.graph(faulty={10, 11})
-        assert not nx.is_connected(g)
+        assert not is_connected(healthy_links(topo, faulty={10, 11}))
+        assert is_connected(healthy_links(topo, faulty={10}))
 
 
 class TestHealthySegments:

@@ -3,7 +3,7 @@
 The CI ``static-analysis`` job runs mypy/ruff from ``requirements-dev.txt``;
 these tests re-run the same commands so the gate is reproducible locally,
 and skip cleanly when the pinned tools are not installed (the runtime
-environment only needs numpy, and networkx for the ``graph()`` exports).
+environment only needs numpy).
 """
 
 import importlib.util
