@@ -77,6 +77,12 @@ def _check_distinct(field_name: str, entries: Sequence[Any], keys: Sequence[str]
             raise ValueError(f"{field_name} lists {key} more than once")
 
 
+def _check_int(field_name: str, value: Any) -> None:
+    """Reject a non-``int`` in an integer field; a ``bool`` or ``8.0`` too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field_name} must be an int, got {value!r}")
+
+
 # --------------------------------------------------------------------- traces
 @dataclass(frozen=True)
 class CorrelatedFaultSpec:
@@ -171,6 +177,8 @@ class TraceSpec:
     correlated: CorrelatedFaultSpec | None = None
 
     def __post_init__(self) -> None:
+        for name in ("days", "seed", "source_nodes", "gpus_per_node"):
+            _check_int(name, getattr(self, name))
         if self.kind != "synthetic":
             raise ValueError(f"unknown trace kind {self.kind!r}; known: ['synthetic']")
         if self.gpus_per_node not in (4, 8):
@@ -555,6 +563,10 @@ class Scenario:
     scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
 
     def __post_init__(self) -> None:
+        for tp in self.tp_sizes:
+            _check_int("tp_sizes", tp)
+        for name in ("seed", "job_gpus") + (() if self.n_nodes is None else ("n_nodes",)):
+            _check_int(name, getattr(self, name))
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if not self.tp_sizes or any(tp < 1 for tp in self.tp_sizes):

@@ -18,6 +18,12 @@ segments (a *breakpoint* in the paper's Appendix C terminology).
 * healthy-segment extraction under an arbitrary fault set,
 * TP-group placement counting (used by the waste-ratio simulations), and
 * breakpoint counting (used to validate the Appendix C analysis).
+
+Capacity and breakpoints come from the runs of consecutive faulty nodes, in
+O(faults): a segment's size is the difference of the healthy-before counts of
+the cuts around it -- cyclic on a ring, framed by 0 and the healthy count on a
+line.  The O(n_nodes) :meth:`~KHopRingTopology.healthy_segments` walk, which
+placement needs for its node lists, is the reference that arithmetic answers to.
 """
 
 from __future__ import annotations
@@ -83,18 +89,6 @@ class Segment:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def tp_group_capacity(self, nodes_per_group: int) -> int:
-        """How many TP groups of ``nodes_per_group`` nodes fit in the segment."""
-        if nodes_per_group < 1:
-            raise ValueError("nodes_per_group must be >= 1")
-        return len(self.nodes) // nodes_per_group
-
-    def leftover_nodes(self, nodes_per_group: int) -> int:
-        """Healthy nodes of the segment that cannot form a full TP group."""
-        if nodes_per_group < 1:
-            raise ValueError("nodes_per_group must be >= 1")
-        return len(self.nodes) % nodes_per_group
 
 
 class KHopRingTopology:
@@ -188,29 +182,26 @@ class KHopRingTopology:
         runs touching either end are not breakpoints (they simply shorten the
         line).
         """
-        n, k = self.config.n_nodes, self.config.k
-        faulty_set = {f for f in faulty if 0 <= f < n}
-        healthy = [i for i in range(n) if i not in faulty_set]
-        if len(healthy) <= 1:
+        healthy, cuts = self._cuts(faulty)
+        if healthy <= 1:
             return 0
-        count = 0
-        for prev, cur in zip(healthy, healthy[1:], strict=False):
-            if cur - prev - 1 >= k:
-                count += 1
         if self.config.ring:
-            wrap_run = (healthy[0] + n) - healthy[-1] - 1
-            if wrap_run >= k:
-                count += 1
-        return count
+            return len(cuts)
+        return sum(1 for cut in cuts if 0 < cut < healthy)
 
     # ------------------------------------------------------------ TP capacity
     def usable_gpus(self, faulty: Iterable[int], tp_size: int) -> int:
         """GPUs that can participate in TP groups of ``tp_size`` GPUs."""
         nodes_per_group = self.nodes_per_tp_group(tp_size)
-        total = 0
-        for segment in self.healthy_segments(faulty):
-            total += segment.tp_group_capacity(nodes_per_group) * tp_size
-        return total
+        healthy, cuts = self._cuts(faulty)
+        if not self.config.ring:
+            bounds = [0, *cuts, healthy]
+        elif cuts:
+            bounds = [cuts[-1] - healthy, *cuts]
+        else:
+            bounds = [0, healthy]
+        groups = sum((b - a) // nodes_per_group for a, b in zip(bounds, bounds[1:]))
+        return groups * tp_size
 
     def wasted_gpus(self, faulty: Iterable[int], tp_size: int) -> int:
         """Healthy GPUs that cannot be used (fragmentation / disconnection)."""
@@ -232,6 +223,26 @@ class KHopRingTopology:
         return max(1, -(-tp_size // r))
 
     # --------------------------------------------------------------- helpers
+    def _cuts(self, faulty: Iterable[int]) -> tuple[int, list[int]]:
+        """Healthy node count and the cuts, in O(F log F) for F faults.
+
+        A cut is a maximal run of >= K consecutive faulty nodes, given by the
+        number of healthy nodes before it (ascending).  On a ring the run
+        that wraps from node n-1 to node 0 is one run, placed after every
+        healthy node.
+        """
+        n = self.config.n_nodes
+        faults = sorted({f for f in faulty if 0 <= f < n})
+        runs: list[list[int]] = []  # [healthy nodes before the run, length]
+        for rank, node in enumerate(faults):
+            if runs and faults[rank - 1] == node - 1:
+                runs[-1][1] += 1
+            else:
+                runs.append([node - rank, 1])
+        if self.config.ring and len(runs) > 1 and faults[0] == 0 and faults[-1] == n - 1:
+            runs[-1][1] += runs.pop(0)[1]
+        return n - len(faults), [before for before, length in runs if length >= self.config.k]
+
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.config.n_nodes:
             raise ValueError(

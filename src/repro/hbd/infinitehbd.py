@@ -11,10 +11,12 @@ cluster simulations.  The relevant behaviour:
 * the remainder of each segment is the only fragmentation loss.
 
 Capacity depends on *where* the faults sit, not just how many hit each
-domain, so there is no fault-count kernel.  Scalar replay recomputes the
-segments once per distinct fault set; the batched Monte-Carlo engine
-(:mod:`repro.mc`) replays whole seed blocks through its vectorized K-hop
-segment pass, checked bit for bit against that scalar recompute.
+domain, so there is no fault-count kernel.  Scalar replay reads the segment
+sizes off the sorted fault runs once per distinct fault set, in O(faults)
+(the O(n_nodes) ``healthy_segments`` walk, which placement uses, is their
+reference); the batched Monte-Carlo engine (:mod:`repro.mc`) replays whole
+seed blocks through its vectorized K-hop segment pass, checked bit for bit
+against that scalar replay.
 """
 
 from __future__ import annotations

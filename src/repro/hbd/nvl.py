@@ -45,20 +45,16 @@ class NVLHBD(HBDArchitecture):
             return 0
         faulty = self._clean_faults(n_nodes, faulty_nodes)
         faults_per_unit = self._faults_per_unit(n_nodes, faulty)
-        usable = 0
-        for unit in range(self.n_units(n_nodes)):
-            healthy = self.hbd_size - faults_per_unit.get(unit, 0) * self.gpus_per_node
-            usable += self._fit(healthy, tp_size)
+        untouched = self.n_units(n_nodes) - len(faults_per_unit)
+        usable = untouched * self._fit(self.hbd_size, tp_size)
+        for count in faults_per_unit.values():
+            usable += self._fit(self.hbd_size - count * self.gpus_per_node, tp_size)
         # Nodes beyond the last complete unit (partial unit) are treated as a
         # smaller switch domain of their own.
         leftover_nodes = n_nodes % self.nodes_per_unit
         if leftover_nodes:
-            start = self.n_units(n_nodes) * self.nodes_per_unit
-            healthy_leftover = sum(
-                self.gpus_per_node
-                for node in range(start, n_nodes)
-                if node not in faulty
-            )
+            leftover_faults = len(faulty) - sum(faults_per_unit.values())
+            healthy_leftover = (leftover_nodes - leftover_faults) * self.gpus_per_node
             usable += self._fit(healthy_leftover, tp_size)
         return usable
 

@@ -31,17 +31,12 @@ class SiPRingHBD(HBDArchitecture):
         per_ring_usable = self._fit(ring_gpu_capacity, tp_size)
 
         n_rings = n_nodes // nodes_per_ring
-        faulty_rings: dict[int, bool] = {}
-        for node in faulty:
-            ring = node // nodes_per_ring
-            if ring < n_rings:
-                faulty_rings[ring] = True
-
-        usable = 0
-        for ring in range(n_rings):
-            if not faulty_rings.get(ring, False):
-                usable += per_ring_usable
-        return usable
+        faulty_rings = {
+            node // nodes_per_ring
+            for node in faulty
+            if node // nodes_per_ring < n_rings
+        }
+        return (n_rings - len(faulty_rings)) * per_ring_usable
 
     def fault_count_decomposition(
         self, n_nodes: int, tp_size: int

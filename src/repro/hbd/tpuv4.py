@@ -48,24 +48,17 @@ class TPUv4HBD(HBDArchitecture):
     ) -> int:
         faulty = self._clean_faults(n_nodes, faulty_nodes)
         faults_per_cube = self._faults_per_cube(n_nodes, faulty)
-        n_cubes = self.n_cubes(n_nodes)
+        healthy_cubes = self.n_cubes(n_nodes) - len(faults_per_cube)
 
         if tp_size <= self.cube_size:
-            usable = 0
-            for cube in range(n_cubes):
-                healthy = (
-                    self.cube_size
-                    - faults_per_cube.get(cube, 0) * self.gpus_per_node
-                )
-                usable += self._fit(healthy, tp_size)
+            usable = healthy_cubes * self._fit(self.cube_size, tp_size)
+            for count in faults_per_cube.values():
+                usable += self._fit(self.cube_size - count * self.gpus_per_node, tp_size)
             usable += self._leftover_usable(n_nodes, faulty, tp_size)
             return usable
 
         # TP group spans multiple cubes: only fully healthy cubes can join.
         cubes_per_group = -(-tp_size // self.cube_size)
-        healthy_cubes = sum(
-            1 for cube in range(n_cubes) if faults_per_cube.get(cube, 0) == 0
-        )
         groups = healthy_cubes // cubes_per_group
         return groups * tp_size
 

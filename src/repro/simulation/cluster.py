@@ -152,8 +152,9 @@ def replay_intervals(
 ) -> IntervalSeries:
     """Exact event-driven replay of the interval timeline against one architecture.
 
-    Evaluates one full breakdown per *distinct* fault set (memoized), so the
-    cost is O(distinct fault sets x n_nodes).  That suits the day-granular
+    Evaluates one full breakdown per *distinct* fault set (memoized); every
+    built-in architecture's breakdown costs O(faults), not O(n_nodes), so the
+    cost is O(distinct fault sets x faults).  That suits the day-granular
     synthetic traces, whose fault sets recur.  A long sub-day trace, where
     nearly every interval has a new fault set, replays much faster through
     :func:`repro.mc.replay_batch` on a one-seed

@@ -141,6 +141,30 @@ class TestSpecRoundTrip:
             ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
 
     @pytest.mark.parametrize(
+        ("field", "value", "named"),
+        [
+            ("tp_sizes", [8.5], "8.5"),
+            ("tp_sizes", [True], "True"),
+            ("tp_sizes", ["8"], "'8'"),
+            ("tp_sizes", [8.0], "8.0"),
+            ("n_nodes", True, "True"),
+            ("n_nodes", 95.5, "95.5"),
+            ("seed", 1.5, "1.5"),
+            ("job_gpus", 2560.5, "2560.5"),
+            ("trace.days", 5.5, "5.5"),
+            ("trace.seed", 1.5, "1.5"),
+            ("trace.gpus_per_node", 4.0, "4.0"),
+            ("trace.source_nodes", 400.0, "400.0"),
+        ],
+    )
+    def test_non_int_rejected_at_parse_time(self, field, value, named):
+        scenario = small_spec().scenario.to_dict()
+        *parent, name = field.split(".")
+        (scenario[parent[0]] if parent else scenario)[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {named}$"):
+            ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
+
+    @pytest.mark.parametrize(
         ("field", "value", "match"),
         [
             ("experiments", ["waste", "goodput", "waste"], "experiments lists 'waste' more"),

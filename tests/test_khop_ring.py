@@ -1,8 +1,9 @@
 """Tests for the K-Hop Ring / Line topology."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig, Segment
+from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig
 
 
 def make(n=32, k=2, r=4, ring=True):
@@ -158,11 +159,6 @@ class TestHealthySegments:
         nodes = [n for s in segments for n in s.nodes]
         assert nodes == sorted(nodes)
 
-    def test_segment_capacity_and_leftover(self):
-        segment = Segment(nodes=tuple(range(10)))
-        assert segment.tp_group_capacity(4) == 2
-        assert segment.leftover_nodes(4) == 2
-
 
 class TestBreakpoints:
     def test_no_breakpoints_without_faults(self):
@@ -225,3 +221,47 @@ class TestCapacity:
         k2 = make(n=128, k=2, r=4)
         k3 = make(n=128, k=3, r=4)
         assert k3.wasted_gpus(faulty, 32) <= k2.wasted_gpus(faulty, 32)
+
+
+def fault_runs(n):
+    """Fault ids in [-2, n + 2): runs of up to 6 consecutive nodes, some of
+    them wrapping from node n - 1 to node 0, plus out-of-range ids."""
+    runs = st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=1, max_value=6))
+    )
+    stray = st.sets(st.sampled_from([-2, -1, n, n + 1]))
+    return st.builds(
+        lambda drawn, extra: {(start + i) % n for start, length in drawn for i in range(length)}
+        | extra,
+        runs,
+        stray,
+    )
+
+
+class TestCapacityMatchesSegments:
+    """The fault-run arithmetic answers to the ``healthy_segments`` walk."""
+
+    @given(
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda n: st.tuples(st.just(n), fault_runs(n))
+        ),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+        st.sampled_from([1, 2, 3, 4, 5, 8, 12, 16, 32, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_usable_gpus_and_breakpoints_match_segments(self, n_and_faults, k, ring, tp):
+        n, faults = n_and_faults
+        topo = make(n=n, k=k, ring=ring)
+        segments = topo.healthy_segments(faults)
+        per_group = topo.nodes_per_tp_group(tp)
+        assert topo.usable_gpus(faults, tp) == sum(len(s) // per_group for s in segments) * tp
+
+        healthy = n - len({f for f in faults if 0 <= f < n})
+        if not ring:
+            expected = max(len(segments) - 1, 0)
+        elif healthy <= 1 or (len(segments) == 1 and segments[0].is_ring):
+            expected = 0
+        else:
+            expected = len(segments)
+        assert topo.breakpoints(faults) == expected

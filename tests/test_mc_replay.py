@@ -537,18 +537,25 @@ class TestCorrelatedDifferential:
 
 class TestFaultCountDecompositions:
     @given(
-        st.sets(st.integers(min_value=0, max_value=95), max_size=40),
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.sets(st.integers(min_value=0, max_value=n + 2), max_size=40)
+            )
+        ),
         st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128, 256]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_decomposition_matches_usable_gpus(self, faults, tp_size):
-        n_nodes = 96
-        for architecture in ARCHITECTURES:
+    def test_decomposition_matches_usable_gpus(self, n_and_faults, tp_size):
+        # Sizes that leave partial cubes and units, or no complete one, and
+        # ids past the last node, which usable_gpus ignores.
+        n_nodes, faults = n_and_faults
+        in_range = {node for node in faults if node < n_nodes}
+        for architecture in (*ARCHITECTURES, NVLHBD(576, 4)):
             decomposition = architecture.fault_count_decomposition(n_nodes, tp_size)
             if decomposition is None:
                 continue
             expected = architecture.usable_gpus(n_nodes, faults, tp_size)
-            assert decomposition.usable_gpus(faults) == expected, architecture.name
+            assert decomposition.usable_gpus(in_range) == expected, architecture.name
 
 
 class TestEventLogCanonical:

@@ -31,6 +31,12 @@ topology_params = st.tuples(
 
 fault_sets = st.sets(st.integers(min_value=0, max_value=119), max_size=40)
 
+# Runs of consecutive faulty nodes, so that cuts of >= K faults are common.
+fault_runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=119), st.integers(min_value=1, max_value=8)),
+    max_size=10,
+).map(lambda runs: {node for start, length in runs for node in range(start, start + length)})
+
 tp_sizes = st.sampled_from([4, 8, 16, 32, 64])
 
 
@@ -78,6 +84,33 @@ class TestKHopInvariants:
         for segment in topo.healthy_segments(faults):
             for a, b in zip(segment.nodes, segment.nodes[1:]):
                 assert topo.hop_distance(a, b) <= k
+
+    @staticmethod
+    def _relabel_invariants(topo, faults, tp):
+        sizes = sorted(len(segment) for segment in topo.healthy_segments(faults))
+        return topo.usable_gpus(faults, tp), topo.breakpoints(faults), sizes
+
+    @given(topology_params, fault_runs, tp_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_ring_rotation_keeps_capacity(self, params, faults, tp):
+        n, k, r, _ = params
+        topo = KHopRingTopology(KHopTopologyConfig(n, k, r, ring=True))
+        faults = {f for f in faults if f < n}
+        expected = self._relabel_invariants(topo, faults, tp)
+        for shift in range(1, n):
+            rotated = {(f + shift) % n for f in faults}
+            assert self._relabel_invariants(topo, rotated, tp) == expected, shift
+
+    @given(topology_params, fault_runs, tp_sizes)
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_keeps_capacity(self, params, faults, tp):
+        n, k, r, ring = params
+        topo = KHopRingTopology(KHopTopologyConfig(n, k, r, ring))
+        faults = {f for f in faults if f < n}
+        mirrored = {n - 1 - f for f in faults}
+        assert self._relabel_invariants(topo, mirrored, tp) == self._relabel_invariants(
+            topo, faults, tp
+        )
 
 
 class TestArchitectureInvariants:
