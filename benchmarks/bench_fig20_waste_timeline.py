@@ -7,11 +7,12 @@ per-quarter summaries are exact duration-weighted means over each quarter's
 window instead of equal-weight means over daily samples.
 """
 
+import numpy as np
 from conftest import SIM_NODES_4GPU, emit_report, format_table
 
 from repro.api import ExperimentRunner, ExperimentSpec, Scenario, TraceSpec
 from repro.faults.trace import HOURS_PER_DAY
-from repro.simulation.cluster import IntervalSeries
+from repro.mc import BatchSeries
 
 TP_SIZE = 32
 QUARTERS = 4
@@ -30,21 +31,28 @@ def _spec():
 
 
 def _timeline(row):
-    """The row's step series as an :class:`IntervalSeries`, for its window means.
+    """The row's step series as a one-seed :class:`BatchSeries`, for its window means.
 
     The trace is day-granular, so every interval starts on a whole hour and
     the start hours and end hours rebuild exactly.
     """
     series = row.series_dict
-    starts = [day * HOURS_PER_DAY for day in series["times_days"]]
-    return IntervalSeries(
+    starts = np.array(series["times_days"]) * HOURS_PER_DAY
+    n_intervals = len(starts)
+    return BatchSeries(
         starts_hours=starts,
-        ends_hours=[s + d for s, d in zip(starts, series["durations_hours"], strict=True)],
-        waste_ratios=list(series["waste_ratios"]),
-        usable_gpus=list(series["usable_gpus"]),
-        faulty_gpus=[],  # not in the row, and no window mean reads it
+        ends_hours=starts + np.array(series["durations_hours"]),
+        waste_ratios=np.array(series["waste_ratios"]),
+        usable_gpus=np.array(series["usable_gpus"], dtype=np.int64),
+        # Not in the row, and no window mean reads it.
+        faulty_gpus=np.zeros(n_intervals, dtype=np.int64),
+        interval_offsets=np.array([0, n_intervals], dtype=np.int64),
         total_gpus=row.metric("total_gpus"),
     )
+
+
+def _quarter_mean(series, quarter, quarter_days):
+    return series.mean_waste_in_window(quarter * quarter_days, (quarter + 1) * quarter_days)[0]
 
 
 def test_fig20_waste_timeline(benchmark):
@@ -56,11 +64,8 @@ def test_fig20_waste_timeline(benchmark):
     quarter_days = spec.scenario.trace.days / QUARTERS
     rows = []
     for name, series in timelines.items():
-        quarter_means = [
-            series.mean_waste_in_window(i * quarter_days, (i + 1) * quarter_days)
-            for i in range(QUARTERS)
-        ]
-        rows.append([name] + quarter_means + [series.max_waste_ratio])
+        quarter_means = [_quarter_mean(series, i, quarter_days) for i in range(QUARTERS)]
+        rows.append([name] + quarter_means + [float(series.waste_ratios.max())])
     text = format_table(
         ["Architecture"] + [f"Q{i + 1} mean" for i in range(QUARTERS)] + ["max"], rows
     )
@@ -69,9 +74,7 @@ def test_fig20_waste_timeline(benchmark):
     # The InfiniteHBD timeline stays near zero through the whole trace while
     # NVL-36/72 hover around their fragmentation floor in every quarter.
     inf3 = timelines["InfiniteHBD(K=3)"]
-    assert inf3.max_waste_ratio < 0.03
+    assert inf3.waste_ratios.max() < 0.03
     nvl = timelines["NVL-72"]
     for quarter in range(QUARTERS):
-        assert nvl.mean_waste_in_window(
-            quarter * quarter_days, (quarter + 1) * quarter_days
-        ) > 0.07
+        assert _quarter_mean(nvl, quarter, quarter_days) > 0.07

@@ -21,6 +21,7 @@ Trace sampling and the per-seed timeline materialisation both happen
 
 import time
 
+import numpy as np
 import pytest
 from conftest import emit_report, format_table
 
@@ -85,15 +86,15 @@ def _replay_both_ways(benchmark, architecture, batch, timelines):
 
     # The whole point of the batched engine: per-seed bit-for-bit equality.
     for index, reference in enumerate(scalar_series):
-        got = batch_series.series_for_seed(index)
-        assert got.starts_hours == reference.starts_hours
-        assert got.ends_hours == reference.ends_hours
-        assert got.waste_ratios == reference.waste_ratios
-        assert got.usable_gpus == reference.usable_gpus
-        assert got.faulty_gpus == reference.faulty_gpus
+        got = batch_series.seed(index)
+        assert np.array_equal(got.starts_hours, reference.starts_hours)
+        assert np.array_equal(got.ends_hours, reference.ends_hours)
+        assert np.array_equal(got.waste_ratios, reference.waste_ratios)
+        assert np.array_equal(got.usable_gpus, reference.usable_gpus)
+        assert np.array_equal(got.faulty_gpus, reference.faulty_gpus)
     means = batch_series.mean_waste_ratios()
     assert all(
-        means[i] == scalar_series[i].mean_waste_ratio for i in range(N_SEEDS)
+        means[i] == scalar_series[i].mean_waste_ratios()[0] for i in range(N_SEEDS)
     )
 
     rows = [

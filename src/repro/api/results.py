@@ -294,8 +294,8 @@ class ResultSet:
             cache_stats=CacheStats.from_dict(stats) if stats else None,
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> ResultSet:

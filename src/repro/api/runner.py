@@ -27,11 +27,11 @@ on a single core:
 Capacity metrics (mean / p99 waste, supported job scale, waiting fraction)
 are exact duration-weighted quantities over the intervals -- no
 ``sample_interval_hours`` dependence.  They take one path for any seed
-count: a cell is a :class:`~repro.mc.BatchSeries` (one seed replayed through
-the scalar reference ``replay_intervals``, several through one vectorized
-``replay_batch`` pass), and every metric is read off it per seed.  Goodput
-takes the same path: seed *i*'s one-job replay gets the cell's usable-GPU
-column for seed *i*.
+count: a cell is the :class:`~repro.mc.BatchSeries` a replay returns (one
+seed replayed through the scalar reference ``replay_intervals``, several
+through one vectorized ``replay_batch`` pass), and every metric is read off
+it per seed.  Goodput takes the same path: seed *i*'s one-job replay gets
+the cell's usable-GPU column for seed *i*.
 """
 
 from __future__ import annotations
@@ -115,12 +115,10 @@ def _cell(
     if cached is not None:
         return cached
     timelines = [ts.build().interval_timeline(spec.scenario.n_nodes) for ts in trace_specs]
-    seeds = [ts.seed for ts in trace_specs]
     if len(timelines) == 1:
-        series = replay_intervals(architecture, timelines[0], payload["tp_size"])
-        cell = BatchSeries.from_interval_series([series], seeds=seeds)
+        cell = replay_intervals(architecture, timelines[0], payload["tp_size"])
     else:
-        batch = TraceBatch.from_timelines(timelines, seeds=seeds)
+        batch = TraceBatch.from_timelines(timelines, seeds=[ts.seed for ts in trace_specs])
         cell = replay_batch(architecture, batch, payload["tp_size"])
     _CELL_CACHE[key] = cell
     return cell
@@ -192,7 +190,7 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     tp_size = payload["tp_size"]
     architecture = arch_spec.build(gpus_per_node=scenario.trace.gpus_per_node)
     batch_series = _cell(spec, payload, architecture)
-    base = batch_series.series_for_seed(0)
+    base = batch_series.seed(0)
 
     per_seed: list[dict[str, Any]]
     if experiment == "waste":
@@ -209,10 +207,10 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
             for i in range(batch_series.n_seeds)
         ]
         out_series: dict[str, Sequence[float]] = {
-            "times_days": base.times_days,
-            "durations_hours": base.durations_hours,
-            "waste_ratios": base.waste_ratios,
-            "usable_gpus": base.usable_gpus,
+            "times_days": base.times_days.tolist(),
+            "durations_hours": base.durations_hours.tolist(),
+            "waste_ratios": base.waste_ratios.tolist(),
+            "usable_gpus": base.usable_gpus.tolist(),
         }
     elif experiment == "max_job_scale":
         scales = batch_series.supported_job_scales(scenario.availability)
@@ -234,7 +232,7 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
         ]
         out_series = {
             "job_scales": job_scales,
-            "waiting_rates": [base.fault_waiting_rate(s) for s in job_scales],
+            "waiting_rates": [base.fault_waiting_rates(s)[0] for s in job_scales],
         }
 
     metrics = _aggregate_seed_metrics(per_seed)
@@ -306,7 +304,7 @@ def _run_goodput_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[
             trace_spec.build(),
             config,
             n_nodes=scenario.n_nodes,
-            usable_gpus=cell.series_for_seed(index).usable_gpus,
+            usable_gpus=cell.seed(index).usable_gpus.tolist(),
         ).run()
         per_seed.append({
             "goodput": report.goodput,

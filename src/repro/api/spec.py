@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cache import CACHE_MODES
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
-from repro.scheduler.jobs import JobSpec, check_finite, check_known_fields
+from repro.scheduler.jobs import JobSpec, _check_int, check_finite, check_known_fields
 from repro.scheduler.workload import WorkloadConfig, generate_workload
 from repro.scheduler.placement import (
     PLACEMENT_NAMES,
@@ -77,12 +77,6 @@ def _check_distinct(field_name: str, entries: Sequence[Any], keys: Sequence[str]
             raise ValueError(f"{field_name} lists {key} more than once")
 
 
-def _check_int(field_name: str, value: Any) -> None:
-    """Reject a non-``int`` in an integer field; a ``bool`` or ``8.0`` too."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{field_name} must be an int, got {value!r}")
-
-
 # --------------------------------------------------------------------- traces
 @dataclass(frozen=True)
 class CorrelatedFaultSpec:
@@ -117,8 +111,9 @@ class CorrelatedFaultSpec:
     repair_sigma: float = 1.2
 
     def __post_init__(self) -> None:
-        # The generator config holds every check: building it here rejects a
-        # bad overlay before any work starts.
+        _check_int("domain_size", self.domain_size)
+        # The generator config holds every other check: building it here
+        # rejects a bad overlay before any work starts.
         self.config(SyntheticTraceConfig())
 
     def config(self, base: SyntheticTraceConfig) -> CorrelatedFaultConfig:
@@ -351,6 +346,9 @@ class WorkloadSpec:
     restart_overhead_hours: float = 0.25
 
     def __post_init__(self) -> None:
+        optional = [name for name in ("tp_size", "max_gpus") if getattr(self, name) is not None]
+        for name in ["n_jobs", "seed", *optional]:
+            _check_int(name, getattr(self, name))
         if self.kind not in ("synthetic", "explicit"):
             raise ValueError(
                 f"unknown workload kind {self.kind!r}; known: ['synthetic', 'explicit']"
@@ -448,6 +446,11 @@ class SchedulerSpec:
     optimizer_stability_bonus: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("preemptive", "backfill"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        for name in ("gittins_levels", "lookahead_k"):
+            _check_int(name, getattr(self, name))
         if self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown scheduling policy {self.policy!r}; known: {list(POLICY_NAMES)}"
@@ -669,6 +672,9 @@ class ExperimentSpec:
     cache: str = "off"
 
     def __post_init__(self) -> None:
+        _check_int("num_seeds", self.num_seeds)
+        if self.max_workers is not None:
+            _check_int("max_workers", self.max_workers)
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
         if self.cache not in CACHE_MODES:
@@ -750,12 +756,12 @@ class ExperimentSpec:
             experiments=tuple(data.get("experiments", ("waste",))),
             options=data.get("options"),
             max_workers=data.get("max_workers"),
-            num_seeds=int(data.get("num_seeds", 1)),
+            num_seeds=data.get("num_seeds", 1),
             cache=str(data.get("cache", "off")),
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentSpec:

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from repro.control.fabric_manager import NodeFabricManager, NodeRole
 from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig
 from repro.core.node import Node, make_nodes
-from repro.faults.trace import FaultTrace
+from repro.faults.trace import FaultTrace, merge_overlapping_events
 
 
 class RingState(enum.Enum):
@@ -224,14 +224,19 @@ class ClusterManager:
 
     # ------------------------------------------------------------ trace replay
     def replay_trace(self, trace: FaultTrace, tp_size: int) -> ReplaySummary:
-        """Replay a fault trace against an initial full allocation."""
+        """Replay a fault trace against an initial full allocation.
+
+        A node's overlapping or touching rows are one outage, as in the
+        trace's interval timeline: the node fails once and is repaired when
+        the last of them ends.
+        """
         if trace.n_nodes < self.n_nodes:
             raise ValueError("trace covers fewer nodes than the cluster")
         self.allocate_rings(tp_size)
         total_rings = max(1, len(self.active_rings()))
 
         changes: list[tuple[float, str, int]] = []
-        for event in trace.events:
+        for event in merge_overlapping_events(trace.events):
             if event.node_id >= self.n_nodes:
                 continue
             changes.append((event.start_hour, "fault", event.node_id))

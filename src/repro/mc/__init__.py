@@ -14,10 +14,9 @@ instead of N independent Python sweeps:
   segment pass, falling back to the exact scalar replay per seed for any
   other architecture without a kernel -- per-seed series are bit-for-bit
   the scalar ``replay_intervals`` output every way;
-* :class:`BatchSeries`, its result, is the one implementation of the
-  capacity aggregates for one seed or many (a scalar ``IntervalSeries``
-  reads them off a one-seed batch), with every sum a left fold in
-  interval order;
+* :class:`BatchSeries`, its result and the scalar ``replay_intervals``'s
+  one-seed result, is the one implementation of the capacity aggregates for
+  one seed or many, with every sum a left fold in interval order;
 * :func:`seed_stats` reduces per-seed metric values to the mean / stddev /
   CI columns ``ExperimentRunner(num_seeds=N)`` reports.
 """

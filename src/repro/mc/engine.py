@@ -29,13 +29,13 @@ architecture without a count decomposition (a plugin) falls back to the
 exact scalar replay per seed, so ``replay_batch`` is total over every
 registry.
 
-:class:`BatchSeries` is the one implementation of the capacity aggregates
-(mean / p99 waste, minimum usable GPUs, supported job scale, fault-waiting
-rate) for one seed or many; a scalar
-:class:`~repro.simulation.cluster.IntervalSeries` answers them as a one-seed
-batch.  Sums run left to right in interval order (``np.cumsum``, not the
-pairwise ``np.sum`` or the interpreter's ``sum()``), and the quantile and
-job-scale walks sort with lexsort and stop with ``searchsorted``.
+:class:`BatchSeries` is what both replays return -- ``replay_batch`` for a
+block of seeds, ``replay_intervals`` for one -- and the one implementation of
+the capacity aggregates (mean / p99 waste, minimum usable GPUs, supported job
+scale, fault-waiting rate, windowed mean waste).  Sums run left to right in
+interval order (``np.cumsum``, not the pairwise ``np.sum`` or the
+interpreter's ``sum()``), and the quantile and job-scale walks sort with
+lexsort and stop with ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.analysis.cdf import weighted_quantile
+from repro.faults.trace import HOURS_PER_DAY
 from repro.hbd.base import HBDArchitecture
 from repro.hbd.infinitehbd import InfiniteHBDArchitecture
 from repro.mc.batch import TraceBatch
 from repro.mc.kernels import AdditiveKernel, HealthyGroupsKernel, kernel_for
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.simulation.cluster import replay_intervals
 
 _IntArray = NDArray[np.int64]
 _FloatArray = NDArray[np.float64]
@@ -143,16 +144,15 @@ def _usable_after_events(
 
 @dataclass(frozen=True, eq=False)
 class BatchSeries:
-    """Per-seed interval replay results, stacked (the multi-seed IntervalSeries).
+    """Per-seed interval replay results, stacked: one seed or many.
 
     The five per-interval columns concatenate every seed's series;
     ``interval_offsets[i]:interval_offsets[i+1]`` is seed ``i``'s slice.
-    Aggregate methods return one value per seed and are the only
-    implementation of each aggregate: the matching
-    :class:`~repro.simulation.cluster.IntervalSeries` property is element 0
-    of the method on a one-seed batch.  :meth:`series_for_seed`
-    materialises a seed's actual ``IntervalSeries`` for direct comparison or
-    downstream scalar use.
+    :meth:`seed` slices one seed out without copying, and :meth:`concat`
+    stacks series back into one batch.  Aggregate methods return one value
+    per seed and are the only implementation of each aggregate.  A column
+    may share memory with the replayed timeline: treat the arrays as
+    immutable.
     """
 
     starts_hours: _FloatArray
@@ -162,52 +162,62 @@ class BatchSeries:
     faulty_gpus: _IntArray
     interval_offsets: _IntArray
     total_gpus: int
-    seeds: tuple[int, ...]
 
     @property
     def n_seeds(self) -> int:
-        return len(self.seeds)
+        return len(self.interval_offsets) - 1
 
     def __len__(self) -> int:
         return len(self.starts_hours)
 
+    @property
+    def times_days(self) -> _FloatArray:
+        """Interval start times in days (for plotting step series)."""
+        result: _FloatArray = self.starts_hours / HOURS_PER_DAY
+        return result
+
+    @property
+    def durations_hours(self) -> _FloatArray:
+        result: _FloatArray = self.ends_hours - self.starts_hours
+        return result
+
     @classmethod
-    def from_interval_series(
-        cls, series: Sequence[IntervalSeries], seeds: Sequence[int] | None = None
-    ) -> BatchSeries:
-        """Stack scalar per-seed series (the exact fallback and the one-seed view)."""
-        if not series:
+    def concat(cls, parts: Sequence[BatchSeries]) -> BatchSeries:
+        """Every seed of ``parts``, in order, as one batch."""
+        if not parts:
             raise ValueError("at least one series is required")
-        total_gpus = series[0].total_gpus
-        for entry in series:
-            if entry.total_gpus != total_gpus:
-                raise ValueError("all series must share total_gpus")
-        offsets = np.zeros(len(series) + 1, dtype=np.int64)
-        np.cumsum([len(entry) for entry in series], out=offsets[1:])
+        total_gpus = parts[0].total_gpus
+        if any(part.total_gpus != total_gpus for part in parts):
+            raise ValueError("all series must share total_gpus")
+        sizes = np.concatenate([np.diff(part.interval_offsets) for part in parts])
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         return cls(
-            starts_hours=_concat([s.starts_hours for s in series], np.float64),
-            ends_hours=_concat([s.ends_hours for s in series], np.float64),
-            waste_ratios=_concat([s.waste_ratios for s in series], np.float64),
-            usable_gpus=_concat([s.usable_gpus for s in series], np.int64),
-            faulty_gpus=_concat([s.faulty_gpus for s in series], np.int64),
+            starts_hours=np.concatenate([part.starts_hours for part in parts]),
+            ends_hours=np.concatenate([part.ends_hours for part in parts]),
+            waste_ratios=np.concatenate([part.waste_ratios for part in parts]),
+            usable_gpus=np.concatenate([part.usable_gpus for part in parts]),
+            faulty_gpus=np.concatenate([part.faulty_gpus for part in parts]),
             interval_offsets=offsets,
             total_gpus=total_gpus,
-            seeds=tuple(seeds) if seeds is not None else tuple(range(len(series))),
         )
 
     # ------------------------------------------------------------ per seed
     def _bounds(self, index: int) -> tuple[int, int]:
         return int(self.interval_offsets[index]), int(self.interval_offsets[index + 1])
 
-    def series_for_seed(self, index: int) -> IntervalSeries:
-        """Seed ``index``'s scalar :class:`IntervalSeries` (exact floats)."""
+    def seed(self, index: int) -> BatchSeries:
+        """Seed ``index`` as a one-seed series of column slices (no copy)."""
+        if not 0 <= index < self.n_seeds:
+            raise IndexError(f"seed index {index} out of range for {self.n_seeds} seeds")
         lo, hi = self._bounds(index)
-        return IntervalSeries(
-            starts_hours=self.starts_hours[lo:hi].tolist(),
-            ends_hours=self.ends_hours[lo:hi].tolist(),
-            waste_ratios=self.waste_ratios[lo:hi].tolist(),
-            usable_gpus=self.usable_gpus[lo:hi].tolist(),
-            faulty_gpus=self.faulty_gpus[lo:hi].tolist(),
+        return BatchSeries(
+            starts_hours=self.starts_hours[lo:hi],
+            ends_hours=self.ends_hours[lo:hi],
+            waste_ratios=self.waste_ratios[lo:hi],
+            usable_gpus=self.usable_gpus[lo:hi],
+            faulty_gpus=self.faulty_gpus[lo:hi],
+            interval_offsets=np.array([0, hi - lo], dtype=np.int64),
             total_gpus=self.total_gpus,
         )
 
@@ -297,14 +307,24 @@ class BatchSeries:
             result.append(float(np.cumsum(waiting)[-1] / total))
         return result
 
+    def mean_waste_in_window(self, start_day: float, end_day: float) -> list[float]:
+        """Per-seed duration-weighted mean waste ratio over ``[start_day, end_day)``.
 
-def _concat(
-    parts: Sequence[Sequence[float] | Sequence[int]], dtype: type
-) -> NDArray[np.float64] | NDArray[np.int64]:
-    arrays = [np.asarray(part, dtype=dtype) for part in parts]
-    if not arrays:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(arrays)
+        A seed with no interval inside the window reads 0.0.
+        """
+        start_h, end_h = start_day * HOURS_PER_DAY, end_day * HOURS_PER_DAY
+        overlap = np.minimum(self.ends_hours, end_h) - np.maximum(self.starts_hours, start_h)
+        result = []
+        for index in range(self.n_seeds):
+            lo, hi = self._bounds(index)
+            inside = overlap[lo:hi] > 0
+            covered = overlap[lo:hi][inside]
+            if len(covered) == 0:
+                result.append(0.0)
+                continue
+            weighted = self.waste_ratios[lo:hi][inside] * covered
+            result.append(float(np.cumsum(weighted)[-1] / np.cumsum(covered)[-1]))
+        return result
 
 
 def replay_batch(
@@ -327,11 +347,12 @@ def replay_batch(
         return _replay_batch_vectorized(architecture, batch, tp_size, kernel)
     if isinstance(architecture, InfiniteHBDArchitecture):
         return _replay_batch_segments(architecture, batch, tp_size)
-    scalar = [
-        replay_intervals(architecture, batch.timeline_for_seed(index), tp_size)
-        for index in range(batch.n_seeds)
-    ]
-    return BatchSeries.from_interval_series(scalar, seeds=batch.seeds)
+    return BatchSeries.concat(
+        [
+            replay_intervals(architecture, batch.timeline_for_seed(index), tp_size)
+            for index in range(batch.n_seeds)
+        ]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +474,6 @@ def _batch_series(
         faulty_gpus=faulty_gpus,
         interval_offsets=layout.offsets,
         total_gpus=total_gpus,
-        seeds=batch.seeds,
     )
 
 

@@ -338,10 +338,10 @@ class ClusterScheduler:
     usable_gpus:
         Capacity the caller has already replayed: a TP size mapped to the
         usable GPUs of each interval of ``timeline``, in order (for example
-        ``replay_intervals(architecture, timeline, tp_size).usable_gpus``).
-        Each value must equal ``architecture.usable_gpus(timeline.n_nodes,
-        interval.nodes, tp_size)``; the scheduler reads it instead of
-        recomputing it.  TP sizes without a column, and fault sets no
+        ``replay_intervals(architecture, timeline, tp_size).usable_gpus``
+        as a list).  Each value must equal ``architecture.usable_gpus(
+        timeline.n_nodes, interval.nodes, tp_size)``; the scheduler reads it
+        instead of recomputing it.  TP sizes without a column, and fault sets no
         interval has (the fault-free cluster beyond the trace), are computed
         as usual.  A column whose length is not ``len(timeline)`` is
         rejected.
@@ -370,7 +370,7 @@ class ClusterScheduler:
 
     >>> from repro.simulation.cluster import replay_intervals
     >>> timeline = trace.interval_timeline()
-    >>> column = replay_intervals(BigSwitchHBD(4), timeline, 4).usable_gpus
+    >>> column = replay_intervals(BigSwitchHBD(4), timeline, 4).usable_gpus.tolist()
     >>> ClusterScheduler(BigSwitchHBD(4), timeline, jobs,
     ...                  usable_gpus={4: column}).run() == report
     True

@@ -69,6 +69,12 @@ def check_finite(obj: Any, *names: str, context: str = "") -> None:
             raise ValueError(f"{context}{name} must be finite, got {value!r}")
 
 
+def _check_int(field_name: str, value: Any) -> None:
+    """Reject a non-``int`` in an integer field; a ``bool`` or ``8.0`` too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field_name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One training job in a scheduled workload.
@@ -99,6 +105,8 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("job name must be non-empty")
+        for name in ("gpus", "tp_size"):
+            _check_int(f"job {self.name!r}: {name}", getattr(self, name))
         if self.gpus < 1 or self.tp_size < 1:
             raise ValueError("gpus and tp_size must be positive")
         if self.gpus % self.tp_size:

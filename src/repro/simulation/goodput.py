@@ -28,10 +28,10 @@ per arrival).
 
 The job depends on the architecture only through each interval's usable
 GPUs, which a capacity replay of the same cell has already computed.  A
-caller holding that column (``replay_intervals(...).usable_gpus``) passes it
-as ``usable_gpus=`` and the scheduler reads it instead of recomputing it;
-the experiment runner hands every goodput seed its column of the run's
-shared capacity cell.
+caller holding that column (``replay_intervals(...).usable_gpus.tolist()``)
+passes it as ``usable_gpus=`` and the scheduler reads it instead of
+recomputing it; the experiment runner hands every goodput seed its column of
+the run's shared capacity cell.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class GoodputSimulator:
     >>> trace = FaultTrace(n_nodes=36, duration_days=2,
     ...                    events=[FaultEvent(3, 6.0, 30.0)], gpus_per_node=4)
     >>> nvl, config = NVLHBD(72), GoodputConfig(job_gpus=144, tp_size=8)
-    >>> column = replay_intervals(nvl, trace.interval_timeline(), 8).usable_gpus
+    >>> column = replay_intervals(nvl, trace.interval_timeline(), 8).usable_gpus.tolist()
     >>> column
     [144, 136, 144]
     >>> report = GoodputSimulator(nvl, trace, config).run()

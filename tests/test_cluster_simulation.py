@@ -61,29 +61,23 @@ class TestClusterSimulator:
             series = replay(arch, trace4, 32)
             assert all(0.0 <= w <= 1.0 for w in series.waste_ratios)
 
-    def test_cdf_is_valid(self, trace4):
-        series = replay(NVLHBD(72, 4), trace4, 32)
-        values, cdf = series.waste_ratio_cdf()
-        assert values == sorted(values)
-        assert cdf[-1] == pytest.approx(1.0)
-
     def test_fault_waiting_monotone_in_job_scale(self, trace4):
         series = replay(InfiniteHBDArchitecture(2, 4), trace4, 32)
-        small = series.fault_waiting_rate(2000)
-        large = series.fault_waiting_rate(2800)
+        small = series.fault_waiting_rates(2000)[0]
+        large = series.fault_waiting_rates(2800)[0]
         assert small <= large
 
     def test_supported_job_scale_availability(self, trace4):
         series = replay(BigSwitchHBD(4), trace4, 32)
-        strict = series.supported_job_scale(1.0)
-        relaxed = series.supported_job_scale(0.9)
+        strict = series.supported_job_scales(1.0)[0]
+        relaxed = series.supported_job_scales(0.9)[0]
         assert strict <= relaxed
-        assert strict == series.min_usable_gpus
+        assert strict == series.min_usable_gpus()[0]
 
     def test_invalid_availability(self, trace4):
         series = replay(BigSwitchHBD(4), trace4, 32)
         with pytest.raises(ValueError):
-            series.supported_job_scale(0.0)
+            series.supported_job_scales(0.0)
 
 
 class TestPaperShapeOverTrace:

@@ -8,6 +8,7 @@ from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig
 from repro.core.node import Node
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
+from repro.faults.trace import FaultEvent, FaultTrace
 from repro.hardware.ocstrx import PathState
 
 
@@ -244,3 +245,13 @@ class TestClusterManagerReplay:
         k3 = ClusterManager(n_nodes=64, k=3).replay_trace(trace4, tp_size=32)
         assert k3.mean_ring_availability >= k2.mean_ring_availability - 1e-9
         assert k3.broken_rings <= k2.broken_rings
+
+    def test_overlapping_rows_replay_as_one_outage(self):
+        # Node 0 is down from 10 h to 30 h; the second row lies inside that
+        # outage, so it neither fails the node again nor repairs it at 25 h.
+        events = [FaultEvent(0, 10.0, 30.0), FaultEvent(0, 20.0, 25.0)]
+        trace = FaultTrace(n_nodes=8, duration_days=2, events=events, gpus_per_node=4)
+        manager = ClusterManager(n_nodes=8, k=2)
+        summary = manager.replay_trace(trace, tp_size=8)
+        assert (summary.fault_events, summary.repair_events) == (1, 1)
+        assert [e.time_hours for e in manager.events if e.kind == "repair"] == [30.0]

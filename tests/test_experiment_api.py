@@ -8,6 +8,7 @@ determinism (same seed => identical ExperimentResult), plus the CLI ``run
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -163,6 +164,41 @@ class TestSpecRoundTrip:
         (scenario[parent[0]] if parent else scenario)[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be an int, got {named}$"):
             ExperimentSpec.from_dict({"scenario": scenario, "experiments": ["waste"]})
+
+    @pytest.mark.parametrize(
+        ("path", "value", "message"),
+        [
+            ("num_seeds", 2.5, "num_seeds must be an int, got 2.5"),
+            ("num_seeds", "3", "num_seeds must be an int, got '3'"),
+            ("max_workers", 2.5, "max_workers must be an int, got 2.5"),
+            ("scenario.workload.n_jobs", 6.0, "n_jobs must be an int, got 6.0"),
+            ("scenario.workload.seed", 1.5, "seed must be an int, got 1.5"),
+            ("scenario.workload.tp_size", 8.0, "tp_size must be an int, got 8.0"),
+            ("scenario.workload.max_gpus", 64.0, "max_gpus must be an int, got 64.0"),
+            ("scenario.workload.jobs.0.gpus", 8.0, "job 'j': gpus must be an int, got 8.0"),
+            ("scenario.workload.jobs.0.tp_size", True, "job 'j': tp_size must be an int, got True"),
+            ("scenario.scheduler.gittins_levels", 2.5, "gittins_levels must be an int, got 2.5"),
+            ("scenario.scheduler.lookahead_k", 2.5, "lookahead_k must be an int, got 2.5"),
+            ("scenario.scheduler.preemptive", "no", "preemptive must be a bool, got 'no'"),
+            ("scenario.scheduler.backfill", 1, "backfill must be a bool, got 1"),
+            ("scenario.trace.correlated.domain_size", 4.0, "domain_size must be an int, got 4.0"),
+        ],
+    )
+    def test_non_int_or_bool_rejected_at_parse_time(self, path, value, message):
+        scenario = small_spec().scenario.to_dict()
+        scenario["trace"]["correlated"] = {"correlation": 0.5}
+        job = {"name": "j", "gpus": 8, "tp_size": 8}
+        scenario["workload"] = {"kind": "explicit", "jobs": [job]}
+        scenario["scheduler"] = {}
+        data = {"scenario": scenario, "experiments": ["schedule"]}
+        ExperimentSpec.from_dict(data)  # valid before the edit
+        *parents, name = path.split(".")
+        target = data
+        for key in parents:
+            target = target[int(key) if key.isdigit() else key]
+        target[name] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec.from_dict(data)
 
     @pytest.mark.parametrize(
         ("field", "value", "match"),
@@ -530,30 +566,30 @@ class TestScalarReference:
 
         waste = row("waste")
         assert waste.metrics_dict == {
-            "mean_waste_ratio": series.mean_waste_ratio,
-            "p99_waste_ratio": series.p99_waste_ratio,
-            "min_usable_gpus": series.min_usable_gpus,
+            "mean_waste_ratio": series.mean_waste_ratios()[0],
+            "p99_waste_ratio": series.p99_waste_ratios()[0],
+            "min_usable_gpus": series.min_usable_gpus()[0],
             "total_gpus": series.total_gpus,
         }
         assert waste.series_dict == {
-            "times_days": tuple(series.times_days),
-            "durations_hours": tuple(series.durations_hours),
-            "waste_ratios": tuple(series.waste_ratios),
-            "usable_gpus": tuple(series.usable_gpus),
+            "times_days": tuple(series.times_days.tolist()),
+            "durations_hours": tuple(series.durations_hours.tolist()),
+            "waste_ratios": tuple(series.waste_ratios.tolist()),
+            "usable_gpus": tuple(series.usable_gpus.tolist()),
         }
         assert row("max_job_scale").metrics_dict == {
-            "max_job_scale": series.supported_job_scale(0.99),
+            "max_job_scale": series.supported_job_scales(0.99)[0],
             "availability": 0.99,
             "total_gpus": series.total_gpus,
         }
         waiting = row("fault_waiting")
         assert waiting.metrics_dict == {
-            "fault_waiting_rate": series.fault_waiting_rate(1024),
+            "fault_waiting_rate": series.fault_waiting_rates(1024)[0],
             "job_gpus": 1024,
         }
         assert waiting.series_dict == {
             "job_scales": self.JOB_SCALES,
-            "waiting_rates": tuple(series.fault_waiting_rate(s) for s in self.JOB_SCALES),
+            "waiting_rates": tuple(series.fault_waiting_rates(s)[0] for s in self.JOB_SCALES),
         }
         report = GoodputSimulator(
             architecture, trace, GoodputConfig(job_gpus=1024, tp_size=tp_size), n_nodes=288

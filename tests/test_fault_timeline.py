@@ -10,7 +10,8 @@ from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trac
 from repro.faults.timeline import FaultInterval, IntervalTimeline, sweep_intervals
 from repro.faults.trace import FaultEvent, FaultTrace, HOURS_PER_DAY
 from repro.hbd import BigSwitchHBD, InfiniteHBDArchitecture, NVLHBD
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.mc import BatchSeries
+from repro.simulation.cluster import replay_intervals
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +250,9 @@ class TestEmpiricalCdf:
             empirical_cdf([1.0], [0.0])
 
 
-class TestIntervalSeries:
+class TestOneSeedReplay:
+    """Aggregates of one replayed seed: element 0 of each ``BatchSeries`` method."""
+
     @pytest.fixture()
     def series(self):
         # Hand-checkable replay: 10 nodes, Big-Switch, TP-4; node 0 down for
@@ -259,44 +262,55 @@ class TestIntervalSeries:
         return replay_intervals(BigSwitchHBD(4), trace.interval_timeline(), 4)
 
     def test_exact_durations(self, series):
-        assert len(series) == 3
-        assert series.durations_hours == [36.0, 24.0, 36.0]
-        assert series.total_hours == 96.0
+        assert (series.n_seeds, len(series)) == (1, 3)
+        assert series.durations_hours.tolist() == [36.0, 24.0, 36.0]
+        assert series.total_hours_for_seed(0) == 96.0
 
     def test_duration_weighted_mean(self, series):
         # Big-Switch wastes nothing at TP-4 (all healthy GPUs usable).
-        assert series.mean_waste_ratio == 0.0
-        assert series.min_usable_gpus == 36
+        assert series.mean_waste_ratios()[0] == 0.0
+        assert series.min_usable_gpus()[0] == 36
 
     def test_fault_waiting_rate_is_time_fraction(self, series):
-        assert series.fault_waiting_rate(40) == pytest.approx(24.0 / 96.0)
-        assert series.fault_waiting_rate(36) == 0.0
+        assert series.fault_waiting_rates(40)[0] == pytest.approx(24.0 / 96.0)
+        assert series.fault_waiting_rates(36)[0] == 0.0
 
     def test_supported_job_scale(self, series):
-        assert series.supported_job_scale(1.0) == 36
+        assert series.supported_job_scales(1.0)[0] == 36
         # Allowing 25% waiting admits the full 40-GPU job.
-        assert series.supported_job_scale(0.75) == 40
+        assert series.supported_job_scales(0.75)[0] == 40
         # 20% waiting budget is not enough for the 24/96 = 25% dip.
-        assert series.supported_job_scale(0.80) == 36
+        assert series.supported_job_scales(0.80)[0] == 36
         with pytest.raises(ValueError):
-            series.supported_job_scale(0.0)
+            series.supported_job_scales(0.0)
 
     def test_mean_waste_in_window(self):
         events = [FaultEvent(node_id=0, start_hour=0.0, end_hour=48.0)]
         trace = FaultTrace(n_nodes=4, duration_days=4, events=events, gpus_per_node=4)
         series = replay_intervals(NVLHBD(8, gpus_per_node=4), trace.interval_timeline(), 8)
-        first_half = series.mean_waste_in_window(0.0, 2.0)
-        second_half = series.mean_waste_in_window(2.0, 4.0)
+        first_half = series.mean_waste_in_window(0.0, 2.0)[0]
+        second_half = series.mean_waste_in_window(2.0, 4.0)[0]
         # Node 0's domain partner wastes 4 GPUs of 16 while node 0 is down.
         assert first_half == pytest.approx(0.25)
         assert second_half == 0.0
+        # A window past the trace covers no interval.
+        assert series.mean_waste_in_window(5.0, 6.0) == [0.0]
 
     def test_empty_series(self):
-        series = IntervalSeries([], [], [], [], [], total_gpus=0)
-        assert series.mean_waste_ratio == 0.0
-        assert series.fault_waiting_rate(1) == 0.0
-        assert series.supported_job_scale() == 0
-        assert series.waste_ratio_cdf() == ([], [])
+        empty_float, empty_int = np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
+        series = BatchSeries(
+            starts_hours=empty_float,
+            ends_hours=empty_float,
+            waste_ratios=empty_float,
+            usable_gpus=empty_int,
+            faulty_gpus=empty_int,
+            interval_offsets=np.zeros(2, dtype=np.int64),
+            total_gpus=0,
+        )
+        assert series.mean_waste_ratios() == [0.0]
+        assert series.fault_waiting_rates(1) == [0.0]
+        assert series.supported_job_scales() == [0]
+        assert series.mean_waste_in_window(0.0, 1.0) == [0.0]
 
 
 def daily_grid_breakdowns(arch, trace, tp_size):
@@ -323,9 +337,9 @@ class TestExactVsGridReplay:
         grid = daily_grid_breakdowns(arch, trace, 32)
         grid_mean = sum(b.waste_ratio for b in grid) / len(grid)
         grid_min = min(b.usable_gpus for b in grid)
-        assert exact.mean_waste_ratio == pytest.approx(grid_mean, abs=1e-12)
-        assert exact.min_usable_gpus == grid_min
-        assert exact.supported_job_scale(1.0) == grid_min
+        assert exact.mean_waste_ratios()[0] == pytest.approx(grid_mean, abs=1e-12)
+        assert exact.min_usable_gpus()[0] == grid_min
+        assert exact.supported_job_scales(1.0)[0] == grid_min
 
     @settings(max_examples=20, deadline=None)
     @given(raw=st.lists(event_strategy, max_size=20))
@@ -353,5 +367,5 @@ class TestExactVsGridReplay:
         exact = replay_intervals(arch, trace.interval_timeline(), 4)
         grid = daily_grid_breakdowns(arch, trace, 4)
         assert min(b.usable_gpus for b in grid) == 40  # the grid never saw it
-        assert exact.min_usable_gpus == 36             # the exact replay did
-        assert exact.fault_waiting_rate(40) == pytest.approx(1.0 / 96.0)
+        assert exact.min_usable_gpus()[0] == 36        # the exact replay did
+        assert exact.fault_waiting_rates(40)[0] == pytest.approx(1.0 / 96.0)

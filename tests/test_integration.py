@@ -38,14 +38,14 @@ class TestTraceToWastePipeline:
         timeline = trace4.interval_timeline(720)
         for arch in default_architectures(4):
             series = replay_intervals(arch, timeline, 32)
-            assert series.total_hours == 60 * 24
+            assert series.total_hours_for_seed(0) == 60 * 24
 
     def test_headline_ordering_holds(self, trace4):
         """InfiniteHBD < TPUv4 < NVL-72 mean waste for TP-32 (Figure 13b)."""
         timeline = trace4.interval_timeline(720)
 
         def mean_waste(arch):
-            return replay_intervals(arch, timeline, 32).mean_waste_ratio
+            return replay_intervals(arch, timeline, 32).mean_waste_ratios()[0]
 
         infinite = mean_waste(InfiniteHBDArchitecture(k=3, gpus_per_node=4))
         tpu = mean_waste(TPUv4HBD(gpus_per_node=4))

@@ -48,7 +48,7 @@ from repro.mc import (
     sample_trace_batch,
     seed_stats,
 )
-from repro.simulation.cluster import IntervalSeries, replay_intervals
+from repro.simulation.cluster import replay_intervals
 
 
 class _PrefixHBD(HBDArchitecture):
@@ -105,22 +105,49 @@ def _timeline(n_nodes, duration_hours, runs, gpus_per_node=4):
     return IntervalTimeline.from_trace(trace)
 
 
+SERIES_COLUMNS = (
+    "starts_hours",
+    "ends_hours",
+    "waste_ratios",
+    "usable_gpus",
+    "faulty_gpus",
+    "interval_offsets",
+)
+
+
 def _assert_series_equal(got, ref):
-    assert got.starts_hours == ref.starts_hours
-    assert got.ends_hours == ref.ends_hours
-    assert got.waste_ratios == ref.waste_ratios
-    assert got.usable_gpus == ref.usable_gpus
-    assert got.faulty_gpus == ref.faulty_gpus
+    for column in SERIES_COLUMNS:
+        got_column, ref_column = getattr(got, column), getattr(ref, column)
+        assert got_column.dtype == ref_column.dtype, column
+        assert np.array_equal(got_column, ref_column), column
     assert got.total_gpus == ref.total_gpus
 
 
 # --------------------------------------------------------------------------
 # plain-Python aggregate oracle
 # --------------------------------------------------------------------------
-# The scalar aggregate bodies IntervalSeries had before it became a view of
-# BatchSeries, kept as the reference.  Every sum is an explicit left fold in
+# Plain-Python reference bodies of every BatchSeries aggregate, reading one
+# seed's columns as Python lists.  Every sum is an explicit left fold in
 # interval order, so the oracle does not depend on the interpreter's sum()
 # (CPython >= 3.12 compensates its float rounding).
+@dataclasses.dataclass
+class _Columns:
+    starts_hours: list
+    ends_hours: list
+    waste_ratios: list
+    usable_gpus: list
+
+
+def _columns(series):
+    """A one-seed series' interval columns as the oracle's Python lists."""
+    return _Columns(
+        series.starts_hours.tolist(),
+        series.ends_hours.tolist(),
+        series.waste_ratios.tolist(),
+        series.usable_gpus.tolist(),
+    )
+
+
 def _fold(values):
     total = 0.0
     for value in values:
@@ -197,15 +224,30 @@ def oracle_supported_job_scale(series, availability):
     return int(pairs[-1][0])
 
 
-def _assert_aggregates_match_oracle(batch, index, ref, q, availability, job_gpus):
-    """Seed ``index`` of ``batch`` and ``ref``'s one-seed view vs the oracle."""
+def oracle_mean_waste_in_window(series, start_day, end_day):
+    start_h, end_h = start_day * 24.0, end_day * 24.0
+    weighted = covered = 0.0
+    for s, e, w in zip(series.starts_hours, series.ends_hours, series.waste_ratios, strict=True):
+        overlap = min(e, end_h) - max(s, start_h)
+        if overlap > 0:
+            weighted += w * overlap
+            covered += overlap
+    return weighted / covered if covered else 0.0
+
+
+def _assert_aggregates_match_oracle(
+    batch, index, ref, q, availability, job_gpus, window=(0.25, 1.5)
+):
+    """Seed ``index`` of ``batch`` and the one-seed ``ref`` vs the oracle."""
+    columns = _columns(ref)
     expected = (
-        oracle_mean_waste_ratio(ref),
-        oracle_waste_ratio_quantile(ref, q),
-        oracle_waste_ratio_quantile(ref, 0.99),
-        oracle_min_usable_gpus(ref),
-        oracle_supported_job_scale(ref, availability),
-        oracle_fault_waiting_rate(ref, job_gpus),
+        oracle_mean_waste_ratio(columns),
+        oracle_waste_ratio_quantile(columns, q),
+        oracle_waste_ratio_quantile(columns, 0.99),
+        oracle_min_usable_gpus(columns),
+        oracle_supported_job_scale(columns, availability),
+        oracle_fault_waiting_rate(columns, job_gpus),
+        oracle_mean_waste_in_window(columns, *window),
     )
     assert (
         batch.mean_waste_ratios()[index],
@@ -214,14 +256,16 @@ def _assert_aggregates_match_oracle(batch, index, ref, q, availability, job_gpus
         batch.min_usable_gpus()[index],
         batch.supported_job_scales(availability)[index],
         batch.fault_waiting_rates(job_gpus)[index],
+        batch.mean_waste_in_window(*window)[index],
     ) == expected
     assert (
-        ref.mean_waste_ratio,
-        ref.waste_ratio_quantile(q),
-        ref.p99_waste_ratio,
-        ref.min_usable_gpus,
-        ref.supported_job_scale(availability),
-        ref.fault_waiting_rate(job_gpus),
+        ref.mean_waste_ratios()[0],
+        ref.waste_ratio_quantiles(q)[0],
+        ref.p99_waste_ratios()[0],
+        ref.min_usable_gpus()[0],
+        ref.supported_job_scales(availability)[0],
+        ref.fault_waiting_rates(job_gpus)[0],
+        ref.mean_waste_in_window(*window)[0],
     ) == expected
 
 
@@ -262,7 +306,7 @@ class TestBatchedMatchesScalar:
             series = replay_batch(architecture, batch, tp_size)
             for index, timeline in enumerate(timelines):
                 ref = replay_intervals(architecture, timeline, tp_size)
-                _assert_series_equal(series.series_for_seed(index), ref)
+                _assert_series_equal(series.seed(index), ref)
 
     @given(st.lists(float_run_lists, min_size=1, max_size=3), st.sampled_from(TP_SIZES))
     @settings(max_examples=40, deadline=None)
@@ -276,12 +320,12 @@ class TestBatchedMatchesScalar:
             series = replay_batch(architecture, batch, tp_size)
             for index, timeline in enumerate(timelines):
                 ref = replay_intervals(architecture, timeline, tp_size)
-                got = series.series_for_seed(index)
+                got = series.seed(index)
                 # Integer capacity columns are always exact; float columns
                 # must agree to full precision (the pipeline reuses the
                 # scalar sweep's boundary floats).
-                assert got.usable_gpus == ref.usable_gpus
-                assert got.faulty_gpus == ref.faulty_gpus
+                assert np.array_equal(got.usable_gpus, ref.usable_gpus)
+                assert np.array_equal(got.faulty_gpus, ref.faulty_gpus)
                 for a, b in zip(got.starts_hours, ref.starts_hours, strict=True):
                     assert math.isclose(a, b, rel_tol=0.0, abs_tol=0.0) or a == b
                 for a, b in zip(got.waste_ratios, ref.waste_ratios, strict=True):
@@ -298,7 +342,7 @@ class TestBatchedMatchesScalar:
                 ref = replay_intervals(
                     architecture, batch.timeline_for_seed(index), tp_size
                 )
-                _assert_series_equal(series.series_for_seed(index), ref)
+                _assert_series_equal(series.seed(index), ref)
                 _assert_aggregates_match_oracle(series, index, ref, 0.5, 0.99, 64)
 
     def test_infinitehbd_has_no_count_kernel(self):
@@ -341,12 +385,13 @@ def _series_from_columns(start_hours, columns):
         starts.append(hour)
         hour += duration
         ends.append(hour)
-    return IntervalSeries(
-        starts_hours=starts,
-        ends_hours=ends,
-        waste_ratios=[waste for _, waste, _ in columns],
-        usable_gpus=[usable for _, _, usable in columns],
-        faulty_gpus=[0] * len(columns),
+    return BatchSeries(
+        starts_hours=np.array(starts, dtype=np.float64),
+        ends_hours=np.array(ends, dtype=np.float64),
+        waste_ratios=np.array([waste for _, waste, _ in columns], dtype=np.float64),
+        usable_gpus=np.array([usable for _, _, usable in columns], dtype=np.int64),
+        faulty_gpus=np.zeros(len(columns), dtype=np.int64),
+        interval_offsets=np.array([0, len(columns)], dtype=np.int64),
         total_gpus=128,
     )
 
@@ -364,24 +409,46 @@ class TestAggregateOracle:
             st.floats(0.0, 1.0, exclude_min=True),
         ),
         st.sampled_from([0, 1, 16, 40, 64, 129]),
+        st.tuples(st.floats(0.0, 60.0), st.floats(0.0, 60.0)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_every_seed_matches_the_oracle(self, seeds, q, availability, job_gpus):
+    def test_every_seed_matches_the_oracle(self, seeds, q, availability, job_gpus, window):
         series = [_series_from_columns(start, columns) for start, columns in seeds]
-        batch = BatchSeries.from_interval_series(series)
+        batch = BatchSeries.concat(series)
         for index, ref in enumerate(series):
-            _assert_aggregates_match_oracle(batch, index, ref, q, availability, job_gpus)
+            _assert_aggregates_match_oracle(
+                batch, index, ref, q, availability, job_gpus, window
+            )
 
     def test_empty_series(self):
         empty = _series_from_columns(0.0, [])
-        batch = BatchSeries.from_interval_series([empty, empty])
+        batch = BatchSeries.concat([empty, empty])
         _assert_aggregates_match_oracle(batch, 1, empty, 0.5, 0.9, 16)
         assert batch.mean_waste_ratios() == [0.0, 0.0]
-        assert empty.supported_job_scale(1.0) == 0
-        # BatchSeries validates first: an empty series rejects a bad
-        # availability instead of answering 0.
+        assert empty.supported_job_scales(1.0) == [0]
+        # Validation comes first: an empty series rejects a bad availability
+        # instead of answering 0.
         with pytest.raises(ValueError, match="availability"):
-            empty.supported_job_scale(0.0)
+            empty.supported_job_scales(0.0)
+
+    def test_seed_slices_and_concat_restacks(self):
+        parts = [
+            _series_from_columns(0.0, [(1.0, 0.25, 16), (2.0, 0.0, 32)]),
+            _series_from_columns(0.0, []),
+            _series_from_columns(5.0, [(0.5, 1.0, 0)]),
+        ]
+        batch = BatchSeries.concat([parts[0], BatchSeries.concat(parts[1:])])
+        assert batch.n_seeds == 3
+        assert batch.interval_offsets.tolist() == [0, 2, 2, 3]
+        for index, part in enumerate(parts):
+            _assert_series_equal(batch.seed(index), part)
+        assert np.shares_memory(batch.seed(2).starts_hours, batch.starts_hours)
+        _assert_series_equal(BatchSeries.concat([batch.seed(i) for i in range(3)]), batch)
+        for index in (3, -1):
+            with pytest.raises(IndexError):
+                batch.seed(index)
+        with pytest.raises(ValueError, match="total_gpus"):
+            BatchSeries.concat([parts[0], dataclasses.replace(parts[1], total_gpus=64)])
 
 
 class TestSegmentPass:
@@ -407,7 +474,7 @@ class TestSegmentPass:
                 for tp_size in (4, 8, 16):
                     series = replay_batch(architecture, batch, tp_size)
                     _assert_series_equal(
-                        series.series_for_seed(0),
+                        series.seed(0),
                         replay_intervals(architecture, timeline, tp_size),
                     )
                     assert series.usable_gpus[-1] == (n_nodes * 4 // tp_size) * tp_size
@@ -422,7 +489,7 @@ class TestSegmentPass:
         series = replay_batch(architecture, batch, 16)
         assert series.usable_gpus.tolist() == [16, 0, 32]
         _assert_series_equal(
-            series.series_for_seed(0), replay_intervals(architecture, timeline, 16)
+            series.seed(0), replay_intervals(architecture, timeline, 16)
         )
 
     @settings(max_examples=60, deadline=None)
@@ -455,7 +522,7 @@ class TestSegmentPass:
         architecture = InfiniteHBDArchitecture(k=k, gpus_per_node=4, ring=ring)
         series = replay_batch(architecture, TraceBatch.from_timelines([timeline]), tp_size)
         _assert_series_equal(
-            series.series_for_seed(0), replay_intervals(architecture, timeline, tp_size)
+            series.seed(0), replay_intervals(architecture, timeline, tp_size)
         )
 
     @pytest.mark.parametrize("ring", [True, False])
@@ -522,7 +589,7 @@ class TestCorrelatedDifferential:
                 series = replay_batch(architecture, batch, tp_size)
                 for index, timeline in enumerate(timelines):
                     ref = replay_intervals(architecture, timeline, tp_size)
-                    _assert_series_equal(series.series_for_seed(index), ref)
+                    _assert_series_equal(series.seed(index), ref)
 
     def test_correlation_zero_timeline_equals_independent(self):
         from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
