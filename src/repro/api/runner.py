@@ -118,7 +118,7 @@ def _cell(
     if len(timelines) == 1:
         cell = replay_intervals(architecture, timelines[0], payload["tp_size"])
     else:
-        batch = TraceBatch.from_timelines(timelines, seeds=[ts.seed for ts in trace_specs])
+        batch = TraceBatch.from_timelines(timelines)
         cell = replay_batch(architecture, batch, payload["tp_size"])
     _CELL_CACHE[key] = cell
     return cell

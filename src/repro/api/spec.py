@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 from repro.cache import CACHE_MODES
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
-from repro.scheduler.jobs import JobSpec, _check_int, check_finite, check_known_fields
+from repro.scheduler.jobs import JobSpec, check_finite, check_int, check_known_fields
 from repro.scheduler.workload import WorkloadConfig, generate_workload
 from repro.scheduler.placement import (
     PLACEMENT_NAMES,
@@ -111,7 +111,7 @@ class CorrelatedFaultSpec:
     repair_sigma: float = 1.2
 
     def __post_init__(self) -> None:
-        _check_int("domain_size", self.domain_size)
+        check_int("domain_size", self.domain_size)
         # The generator config holds every other check: building it here
         # rejects a bad overlay before any work starts.
         self.config(SyntheticTraceConfig())
@@ -173,7 +173,7 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         for name in ("days", "seed", "source_nodes", "gpus_per_node"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if self.kind != "synthetic":
             raise ValueError(f"unknown trace kind {self.kind!r}; known: ['synthetic']")
         if self.gpus_per_node not in (4, 8):
@@ -348,7 +348,7 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         optional = [name for name in ("tp_size", "max_gpus") if getattr(self, name) is not None]
         for name in ["n_jobs", "seed", *optional]:
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if self.kind not in ("synthetic", "explicit"):
             raise ValueError(
                 f"unknown workload kind {self.kind!r}; known: ['synthetic', 'explicit']"
@@ -450,7 +450,7 @@ class SchedulerSpec:
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         for name in ("gittins_levels", "lookahead_k"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if self.policy not in POLICY_NAMES:
             raise ValueError(
                 f"unknown scheduling policy {self.policy!r}; known: {list(POLICY_NAMES)}"
@@ -567,9 +567,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for tp in self.tp_sizes:
-            _check_int("tp_sizes", tp)
+            check_int("tp_sizes", tp)
         for name in ("seed", "job_gpus") + (() if self.n_nodes is None else ("n_nodes",)):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         if not self.name:
             raise ValueError("scenario name must be non-empty")
         if not self.tp_sizes or any(tp < 1 for tp in self.tp_sizes):
@@ -672,9 +672,9 @@ class ExperimentSpec:
     cache: str = "off"
 
     def __post_init__(self) -> None:
-        _check_int("num_seeds", self.num_seeds)
+        check_int("num_seeds", self.num_seeds)
         if self.max_workers is not None:
-            _check_int("max_workers", self.max_workers)
+            check_int("max_workers", self.max_workers)
         if self.num_seeds < 1:
             raise ValueError("num_seeds must be >= 1")
         if self.cache not in CACHE_MODES:

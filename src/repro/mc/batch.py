@@ -47,28 +47,21 @@ class TraceBatch:
     n_nodes: int
     gpus_per_node: int
     duration_hours: float
-    seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if self.duration_hours <= 0:
             raise ValueError("duration_hours must be positive")
-        if len(self.event_offsets) != len(self.seeds) + 1:
-            raise ValueError("event_offsets must have n_seeds + 1 entries")
         if len(self.log) != int(self.event_offsets[-1]):
             raise ValueError("event_offsets do not cover the event log")
 
     @property
     def n_seeds(self) -> int:
-        return len(self.seeds)
+        return len(self.event_offsets) - 1
 
     @classmethod
-    def from_timelines(
-        cls,
-        timelines: Sequence[IntervalTimeline],
-        seeds: Sequence[int] | None = None,
-    ) -> TraceBatch:
+    def from_timelines(cls, timelines: Sequence[IntervalTimeline]) -> TraceBatch:
         """Stack per-seed scalar timelines (all over the same cluster).
 
         Each timeline contributes its canonical event log, so
@@ -77,9 +70,6 @@ class TraceBatch:
         if not timelines:
             raise ValueError("at least one timeline is required")
         first = timelines[0]
-        seed_ids = tuple(seeds) if seeds is not None else tuple(range(len(timelines)))
-        if len(seed_ids) != len(timelines):
-            raise ValueError("seeds must match the number of timelines")
         for timeline in timelines:
             if timeline.n_nodes != first.n_nodes:
                 raise ValueError("all timelines must share n_nodes")
@@ -96,7 +86,6 @@ class TraceBatch:
             n_nodes=first.n_nodes,
             gpus_per_node=first.gpus_per_node,
             duration_hours=first.duration_hours,
-            seeds=seed_ids,
         )
 
     def event_log_for_seed(self, index: int) -> NDArray[np.void]:
@@ -185,7 +174,6 @@ def sample_trace_batch(config: BatchTraceConfig) -> TraceBatch:
         n_nodes=config.n_nodes,
         gpus_per_node=config.gpus_per_node,
         duration_hours=duration_hours,
-        seeds=tuple(range(config.n_seeds)),
     )
 
 

@@ -69,8 +69,16 @@ def check_finite(obj: Any, *names: str, context: str = "") -> None:
             raise ValueError(f"{context}{name} must be finite, got {value!r}")
 
 
-def _check_int(field_name: str, value: Any) -> None:
-    """Reject a non-``int`` in an integer field; a ``bool`` or ``8.0`` too."""
+def check_int(field_name: str, value: Any) -> None:
+    """Reject a non-``int`` in an integer field; a ``bool`` or ``8.0`` too.
+
+    >>> check_int("n_jobs", 6)
+    >>> try:
+    ...     check_int("n_jobs", 6.0)
+    ... except ValueError as error:
+    ...     print(error)
+    n_jobs must be an int, got 6.0
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{field_name} must be an int, got {value!r}")
 
@@ -106,7 +114,7 @@ class JobSpec:
         if not self.name:
             raise ValueError("job name must be non-empty")
         for name in ("gpus", "tp_size"):
-            _check_int(f"job {self.name!r}: {name}", getattr(self, name))
+            check_int(f"job {self.name!r}: {name}", getattr(self, name))
         if self.gpus < 1 or self.tp_size < 1:
             raise ValueError("gpus and tp_size must be positive")
         if self.gpus % self.tp_size:
@@ -242,4 +250,4 @@ class JobReport:
         return data
 
 
-__all__ = ["JobReport", "JobSpec", "check_finite", "check_known_fields"]
+__all__ = ["JobReport", "JobSpec", "check_finite", "check_int", "check_known_fields"]
