@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from repro.core.khop_ring import KHopRingTopology, KHopTopologyConfig
 from repro.core.node import make_nodes
 from repro.core.ring_builder import RingBuilder
-from repro.hbd import architecture_by_name
+from repro.hbd.registry import REGISTRY
 
 
 def main() -> None:
@@ -62,7 +62,7 @@ def main() -> None:
     cluster_nodes = 720
     faulty = {10, 95, 222, 402, 561, 703}
     for arch_name in ("InfiniteHBD(K=3)", "NVL-72"):
-        arch = architecture_by_name(arch_name, gpus_per_node=4)
+        arch = REGISTRY.create(arch_name, gpus_per_node=4)
         breakdown = arch.breakdown(cluster_nodes, faulty, tp_size=32)
         print(
             f"{arch.name:18s} usable={breakdown.usable_gpus:5d} GPUs   "

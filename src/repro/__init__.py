@@ -10,7 +10,8 @@ baseline its evaluation depends on:
 * ``repro.core``        -- nodes, the K-Hop Ring topology, ring construction
   and the orchestration algorithms (sections 4.2, 4.3, Appendix D).
 * ``repro.hbd``         -- architecture models: InfiniteHBD, Big-Switch,
-  NVL-36/72/576, TPUv4, SiP-Ring (section 6.2).
+  NVL-36/72/576, TPUv4, SiP-Ring (section 6.2), and the plugin registry
+  that builds them by name.
 * ``repro.faults``      -- fault trace substrate (Appendix A).
 * ``repro.simulation``  -- trace-driven cluster simulation (section 6.2).
 * ``repro.scheduler``   -- multi-job cluster scheduling over the exact
@@ -22,7 +23,7 @@ baseline its evaluation depends on:
 * ``repro.cost``        -- interconnect cost / power analysis (section 6.5).
 * ``repro.analysis``    -- theoretical waste-ratio bound (Appendix C).
 * ``repro.api``         -- the Unified Experiment API: declarative scenario
-  specs, a plugin architecture registry, and a parallel experiment runner.
+  specs and a parallel experiment runner (it re-exports the registry).
 
 Quickstart -- declare a scenario, run it, serialize the results::
 
@@ -44,7 +45,7 @@ Quickstart -- declare a scenario, run it, serialize the results::
 
 The same spec runs from the shell: save ``spec.to_json()`` to a file and
 ``python -m repro.cli run --spec spec.json --output results.json``.  New HBD
-variants plug in by name through the registry (see :mod:`repro.api.registry`)
+variants plug in by name through the registry (see :mod:`repro.hbd.registry`)
 without touching core code; the lower-level building blocks
 (:func:`repro.simulation.cluster.replay_intervals`, the architecture classes,
 the fault substrate) remain importable for bespoke studies.
@@ -52,7 +53,11 @@ the fault substrate) remain importable for bespoke studies.
 ``import repro`` imports none of these subpackages: import each name from the
 module that defines it (for example
 ``from repro.core.khop_ring import KHopRingTopology``), so a process loads
-only the modules it runs.
+only the modules it runs.  Any module can be the first one a process
+imports, and the model layers (``repro.faults``, ``repro.hbd``,
+``repro.core``, ``repro.analysis``) import nothing from the layers that run
+them (``repro.api``, ``repro.cache``, ``repro.cli``, ``repro.mc``,
+``repro.scheduler``, ``repro.simulation``).
 """
 
 __version__ = "1.0.0"

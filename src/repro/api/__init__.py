@@ -2,9 +2,10 @@
 
 The package ties three layers together:
 
-* :mod:`repro.api.registry` -- a plugin registry of HBD architecture
-  factories (:data:`REGISTRY`); new variants register with a decorator and
-  become runnable by name everywhere, spec files included.
+* :data:`REGISTRY` -- the plugin registry of HBD architecture factories,
+  defined beside the paper's line-up in :mod:`repro.hbd.registry` and
+  re-exported here; new variants register with a decorator and become
+  runnable by name everywhere, spec files included.
 * :mod:`repro.api.spec` -- frozen, JSON-round-trippable experiment
   descriptions (:class:`TraceSpec`, :class:`ArchitectureSpec`,
   :class:`Scenario`, :class:`ExperimentSpec`).
@@ -29,11 +30,7 @@ The same spec serializes to JSON (``spec.to_json()``) and runs from the
 command line: ``python -m repro.cli run --spec spec.json``.
 """
 
-from repro.api.registry import (
-    ArchitectureEntry,
-    ArchitectureRegistry,
-    REGISTRY,
-)
+from repro.hbd.registry import ArchitectureEntry, ArchitectureRegistry, REGISTRY
 from repro.api.spec import (
     KNOWN_EXPERIMENTS,
     ArchitectureSpec,

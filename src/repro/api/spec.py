@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING, Any
 from repro.cache import CACHE_MODES
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultTrace
+from repro.hbd.base import HBDArchitecture
+from repro.hbd.registry import DEFAULT_LINEUP, REGISTRY
 from repro.scheduler.jobs import JobSpec, check_finite, check_int, check_known_fields
 from repro.scheduler.workload import WorkloadConfig, generate_workload
 from repro.scheduler.placement import (
@@ -43,9 +45,7 @@ from repro.scheduler.placement import (
 from repro.scheduler.policies import POLICY_NAMES, SchedulingPolicy, policy_by_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.api.registry import ArchitectureRegistry
     from repro.faults.correlated import CorrelatedFaultConfig
-    from repro.hbd.base import HBDArchitecture
 
 #: Experiments the runner knows how to execute.
 KNOWN_EXPERIMENTS = (
@@ -272,14 +272,9 @@ class ArchitectureSpec:
     def of(cls, name: str, **params: Any) -> ArchitectureSpec:
         return cls(name=name, params=tuple(sorted(params.items())))
 
-    def build(
-        self, gpus_per_node: int = 4, registry: ArchitectureRegistry | None = None
-    ) -> HBDArchitecture:
-        """Instantiate through the (global by default) architecture registry."""
-        from repro.api.registry import REGISTRY
-
-        reg = registry if registry is not None else REGISTRY
-        return reg.create(self.name, gpus_per_node=gpus_per_node, **dict(self.params))
+    def build(self, gpus_per_node: int = 4) -> HBDArchitecture:
+        """Instantiate through the global architecture registry."""
+        return REGISTRY.create(self.name, gpus_per_node=gpus_per_node, **dict(self.params))
 
     def to_dict(self) -> str | dict[str, Any]:
         if not self.params:
@@ -302,8 +297,6 @@ def default_architecture_specs() -> tuple[ArchitectureSpec, ...]:
     >>> len(default_architecture_specs())
     8
     """
-    from repro.hbd.registry import DEFAULT_LINEUP
-
     return tuple(ArchitectureSpec(name=name) for name in DEFAULT_LINEUP)
 
 

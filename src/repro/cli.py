@@ -314,7 +314,7 @@ def cmd_cache(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_architectures(args: argparse.Namespace) -> list[str]:
-    from repro.api.registry import REGISTRY
+    from repro.hbd.registry import REGISTRY
 
     lines = [f"{'name':20s} {'aliases':28s} description"]
     for entry in REGISTRY:

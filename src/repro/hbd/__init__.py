@@ -13,6 +13,10 @@ Architectures:
 * :class:`~repro.hbd.tpuv4.TPUv4HBD`           -- switch-GPU hybrid (4^3 cubes + OCS).
 * :class:`~repro.hbd.sipring.SiPRingHBD`       -- GPU-centric fixed rings.
 * :class:`~repro.hbd.infinitehbd.InfiniteHBDArchitecture` -- the paper's design.
+
+:mod:`repro.hbd.registry` holds the plugin registry that builds each of them
+by name (:data:`repro.hbd.registry.REGISTRY`, re-exported by
+:mod:`repro.api`) and the paper's line-up, :data:`DEFAULT_LINEUP`.
 """
 
 from repro.hbd.base import (
@@ -27,11 +31,7 @@ from repro.hbd.nvl import NVLHBD
 from repro.hbd.tpuv4 import TPUv4HBD
 from repro.hbd.sipring import SiPRingHBD
 from repro.hbd.infinitehbd import InfiniteHBDArchitecture
-from repro.hbd.registry import (
-    DEFAULT_LINEUP,
-    architecture_by_name,
-    default_architectures,
-)
+from repro.hbd.registry import DEFAULT_LINEUP, default_architectures
 
 __all__ = [
     "CountDecomposition",
@@ -46,5 +46,4 @@ __all__ = [
     "InfiniteHBDArchitecture",
     "DEFAULT_LINEUP",
     "default_architectures",
-    "architecture_by_name",
 ]

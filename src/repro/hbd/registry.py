@@ -1,27 +1,220 @@
-"""Built-in HBD architecture registrations and the classic lookup shims.
+"""The architecture registry and the paper's built-in line-up.
 
-The architectures compared throughout section 6 register themselves into the
-global :data:`repro.api.registry.REGISTRY` here -- both as parameterizable
-families (``infinitehbd``, ``nvl``) and under the exact legend names of the
-paper's figures (``InfiniteHBD(K=2)``, ``NVL-72``, ...).  New variants do
-*not* need to edit this module: registering a factory anywhere (an example
-script, a notebook, a plugin package) makes the architecture runnable by
-name through the CLI, spec files and the experiment runner.
+The registry decouples *naming* an architecture from *constructing* it: a
+factory is registered once (typically with the :meth:`ArchitectureRegistry.
+register` decorator) and every consumer -- the CLI, the experiment runner,
+spec files -- creates instances by name.  New HBD variants therefore plug in
+without editing any core module::
 
-:func:`default_architectures` and :func:`architecture_by_name` keep their
-historical signatures as thin shims over the registry.
+    from repro.api import REGISTRY
+
+    @REGISTRY.register("dual-rail", defaults={"hbd_size": 144})
+    def _dual_rail(gpus_per_node=4, hbd_size=144):
+        return NVLHBD(hbd_size, gpus_per_node=gpus_per_node)
+
+    arch = REGISTRY.create("dual-rail", gpus_per_node=4)
+
+Factories receive ``gpus_per_node`` plus the entry's default parameters
+(overridable per call or per :class:`~repro.api.spec.ArchitectureSpec`).
+Names are case-insensitive.
+
+The architectures compared throughout section 6 register into the global
+:data:`REGISTRY` below its definition, both as parameterizable families
+(``infinitehbd``, ``nvl``) and under the exact legend names of the paper's
+figures (``InfiniteHBD(K=2)``, ``NVL-72``, ...).  The registry lives beside
+the models it builds and imports nothing above :mod:`repro.hbd`;
+:mod:`repro.api` re-exports it.
 """
 
 from __future__ import annotations
 
+import difflib
+import threading
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any
 
-from repro.api.registry import REGISTRY
 from repro.hbd.base import HBDArchitecture
 from repro.hbd.bigswitch import BigSwitchHBD
 from repro.hbd.infinitehbd import InfiniteHBDArchitecture
 from repro.hbd.nvl import NVLHBD
 from repro.hbd.sipring import SiPRingHBD
 from repro.hbd.tpuv4 import TPUv4HBD
+
+#: An architecture factory: ``factory(gpus_per_node=..., **params)``.
+ArchitectureFactory = Callable[..., HBDArchitecture]
+
+
+@dataclass(frozen=True)
+class ArchitectureEntry:
+    """One registered architecture factory plus its default parameters.
+
+    >>> entry = REGISTRY.get("nvl-72")   # aliases are case-insensitive
+    >>> entry.name
+    'NVL-72'
+    >>> entry.build(gpus_per_node=4).hbd_size
+    72
+    """
+
+    name: str
+    factory: ArchitectureFactory
+    defaults: tuple[tuple[str, Any], ...] = ()
+    aliases: tuple[str, ...] = ()
+    description: str = ""
+
+    def build(self, gpus_per_node: int = 4, **params: Any) -> HBDArchitecture:
+        """Instantiate the architecture, merging ``params`` over the defaults."""
+        merged: dict[str, Any] = dict(self.defaults)
+        merged.update(params)
+        return self.factory(gpus_per_node=gpus_per_node, **merged)
+
+
+class ArchitectureRegistry:
+    """Mutable mapping from names (and aliases) to architecture factories.
+
+    >>> reg = ArchitectureRegistry()   # fresh and empty; the global one is REGISTRY
+    >>> @reg.register("toy", defaults={"hbd_size": 8}, description="tiny NVL")
+    ... def _toy(gpus_per_node=4, hbd_size=8):
+    ...     return NVLHBD(hbd_size, gpus_per_node=gpus_per_node)
+    >>> reg.create("toy", gpus_per_node=4, hbd_size=16).name
+    'NVL-16'
+    >>> "toy" in reg
+    True
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[str, ArchitectureEntry] = {}
+        self._aliases: dict[str, str] = {}
+        self._lock = threading.RLock()
+
+    # ------------------------------------------------------------ registration
+    @staticmethod
+    def _normalize(name: str) -> str:
+        return name.strip().lower()
+
+    def register(
+        self,
+        name: str,
+        *,
+        aliases: tuple[str, ...] = (),
+        defaults: Mapping[str, Any] | None = None,
+        description: str = "",
+        override: bool = False,
+    ) -> Callable[[ArchitectureFactory], ArchitectureFactory]:
+        """Decorator form of :meth:`register_factory`."""
+
+        def decorator(factory: ArchitectureFactory) -> ArchitectureFactory:
+            self.register_factory(
+                name,
+                factory,
+                aliases=aliases,
+                defaults=defaults,
+                description=description,
+                override=override,
+            )
+            return factory
+
+        return decorator
+
+    def register_factory(
+        self,
+        name: str,
+        factory: ArchitectureFactory,
+        *,
+        aliases: tuple[str, ...] = (),
+        defaults: Mapping[str, Any] | None = None,
+        description: str = "",
+        override: bool = False,
+    ) -> ArchitectureEntry:
+        """Register ``factory`` under ``name`` (and ``aliases``).
+
+        Raises :class:`ValueError` when the name or an alias is already taken,
+        unless ``override=True`` -- overriding replaces the previous entry and
+        all of its aliases.
+        """
+        entry = ArchitectureEntry(
+            name=name,
+            factory=factory,
+            defaults=tuple(sorted((defaults or {}).items())),
+            aliases=tuple(aliases),
+            description=description,
+        )
+        key = self._normalize(name)
+        alias_keys = [self._normalize(a) for a in aliases]
+        with self._lock:
+            taken = [
+                k for k in [key, *alias_keys]
+                if (k in self._entries or k in self._aliases)
+            ]
+            if taken and not override:
+                raise ValueError(
+                    f"architecture name(s) {sorted(set(taken))!r} already "
+                    "registered; pass override=True to replace"
+                )
+            if override:
+                for k in taken:
+                    self._drop(k)
+            self._entries[key] = entry
+            for alias in alias_keys:
+                self._aliases[alias] = key
+        return entry
+
+    def unregister(self, name: str) -> None:
+        """Remove an entry (by canonical name or alias) and its aliases."""
+        with self._lock:
+            self._drop(self._normalize(name))
+
+    def _drop(self, key: str) -> None:
+        key = self._aliases.get(key, key)
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            for alias in entry.aliases:
+                self._aliases.pop(self._normalize(alias), None)
+
+    # ----------------------------------------------------------------- lookup
+    def get(self, name: str) -> ArchitectureEntry:
+        """Resolve ``name`` (or an alias) to its registry entry.
+
+        Unknown names raise :class:`KeyError` with close-match suggestions.
+        """
+        key = self._normalize(name)
+        with self._lock:
+            key = self._aliases.get(key, key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                return entry
+            known = sorted(set(self._entries) | set(self._aliases))
+        suggestions = difflib.get_close_matches(key, known, n=3, cutoff=0.4)
+        hint = f"; did you mean {', '.join(map(repr, suggestions))}?" if suggestions else ""
+        raise KeyError(f"unknown architecture {name!r}{hint} known: {known}")
+
+    def create(
+        self, name: str, gpus_per_node: int = 4, **params: Any
+    ) -> HBDArchitecture:
+        """Instantiate the architecture registered under ``name``."""
+        return self.get(name).build(gpus_per_node=gpus_per_node, **params)
+
+    def names(self) -> list[str]:
+        """Canonical registered names, in registration order."""
+        with self._lock:
+            return [entry.name for entry in self._entries.values()]
+
+    def __contains__(self, name: str) -> bool:
+        key = self._normalize(name)
+        with self._lock:
+            return key in self._entries or key in self._aliases
+
+    def __iter__(self) -> Iterator[ArchitectureEntry]:
+        with self._lock:
+            return iter(list(self._entries.values()))
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: The process-global registry every consumer shares.
+REGISTRY = ArchitectureRegistry()
 
 #: The architecture line-up of Figures 13-16 and 20-23, in legend order.
 DEFAULT_LINEUP: tuple[str, ...] = (
@@ -101,7 +294,6 @@ for _size in (36, 72, 576):
     )
 
 
-# ------------------------------------------------------------- classic shims
 def default_architectures(gpus_per_node: int = 4) -> list[HBDArchitecture]:
     """The architecture line-up of Figures 13-16 and 20-23.
 
@@ -111,12 +303,3 @@ def default_architectures(gpus_per_node: int = 4) -> list[HBDArchitecture]:
     return [
         REGISTRY.create(name, gpus_per_node=gpus_per_node) for name in DEFAULT_LINEUP
     ]
-
-
-def architecture_by_name(name: str, gpus_per_node: int = 4) -> HBDArchitecture:
-    """Look up an architecture by its legend name (case-insensitive).
-
-    Unknown names raise :class:`KeyError` with close-match suggestions,
-    e.g. ``unknown architecture 'nvl72'; did you mean 'nvl-72'?``.
-    """
-    return REGISTRY.create(name, gpus_per_node=gpus_per_node)

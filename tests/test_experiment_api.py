@@ -33,7 +33,7 @@ import repro.api.runner as runner_module
 import repro.api.spec as spec_module
 from repro.cache import ResultCache
 from repro.faults.timeline import IntervalTimeline
-from repro.hbd import NVLHBD, architecture_by_name
+from repro.hbd import NVLHBD
 from repro.hbd.registry import DEFAULT_LINEUP
 from repro.mc import TraceBatch
 from repro.simulation.cluster import replay_intervals
@@ -286,10 +286,6 @@ class TestRegistry:
     def test_unknown_name_suggests_close_matches(self):
         with pytest.raises(KeyError, match="did you mean"):
             REGISTRY.create("nvl-721")
-
-    def test_architecture_by_name_shim_suggests(self):
-        with pytest.raises(KeyError, match="did you mean"):
-            architecture_by_name("infinitehdb")
 
     def test_unregister(self):
         registry = ArchitectureRegistry()
@@ -556,7 +552,7 @@ class TestScalarReference:
     @pytest.mark.parametrize("name", DEFAULT_LINEUP)
     def test_rows_equal_the_scalar_reference(self, reference, name, tp_size):
         scenario, results = reference
-        architecture = architecture_by_name(name, gpus_per_node=4)
+        architecture = REGISTRY.create(name, gpus_per_node=4)
         trace = scenario.trace.build()
         series = replay_intervals(architecture, trace.interval_timeline(288), tp_size)
 

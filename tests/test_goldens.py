@@ -36,7 +36,7 @@ from repro.api.spec import (
     WorkloadSpec,
 )
 from repro.faults.trace import FaultEvent, FaultTrace
-from repro.hbd.registry import architecture_by_name
+from repro.hbd.registry import REGISTRY
 from repro.scheduler import (
     ClusterScheduler,
     WorkloadConfig,
@@ -180,7 +180,7 @@ def _grid_jobs():
 def _grid_cases():
     """Yield (case id, architecture, ``ClusterScheduler`` keywords) per case."""
     for arch_name in GRID_ARCHITECTURES:
-        arch = architecture_by_name(arch_name)
+        arch = REGISTRY.create(arch_name)
         for label, policy_name, knobs, backfills in GRID_POLICIES:
             # Both preemption modes for every policy, whatever its default:
             # the non-preemptive and preemptive allocation starts differ.

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api.registry import REGISTRY
 from repro.faults.convert import convert_trace_8gpu_to_4gpu
 from repro.faults.synthetic import SyntheticTraceConfig, generate_synthetic_trace
 from repro.faults.trace import FaultEvent, FaultTrace
@@ -11,8 +10,8 @@ from repro.hbd import (
     InfiniteHBDArchitecture,
     NVLHBD,
     SiPRingHBD,
-    architecture_by_name,
 )
+from repro.hbd.registry import REGISTRY
 from repro.simulation.cluster import replay_intervals
 from repro.simulation.goodput import GoodputConfig, GoodputReport, GoodputSimulator
 
@@ -143,7 +142,7 @@ class TestGoodputSimulator:
         config = GoodputConfig(job_gpus=2560, tp_size=tp_size)
         waited = []
         for name in REGISTRY.names():
-            arch = architecture_by_name(name)
+            arch = REGISTRY.create(name)
             column = replay_intervals(arch, timeline, tp_size).usable_gpus
             plain = GoodputSimulator(arch, trace4, config, n_nodes=720).run()
             replayed = GoodputSimulator(

@@ -8,10 +8,10 @@ from repro.hbd import (
     NVLHBD,
     SiPRingHBD,
     TPUv4HBD,
-    architecture_by_name,
     default_architectures,
 )
 from repro.hbd.base import WasteBreakdown
+from repro.hbd.registry import REGISTRY
 
 
 class TestWasteBreakdown:
@@ -212,13 +212,13 @@ class TestRegistry:
         ]
 
     def test_lookup_by_name(self):
-        arch = architecture_by_name("nvl-72")
+        arch = REGISTRY.create("nvl-72")
         assert isinstance(arch, NVLHBD)
         assert arch.hbd_size == 72
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            architecture_by_name("dojo")
+            REGISTRY.create("dojo")
 
     def test_usable_never_exceeds_healthy(self):
         faulty = set(range(0, 100, 7))

@@ -24,6 +24,7 @@ STRICT_TARGETS = (
     "repro.api",
     "repro.scheduler",
     "repro.hbd.base",
+    "repro.hbd.registry",
     "repro.analysis",
     "repro.mc",
     "repro.cache",
