@@ -27,7 +27,14 @@ class SeedStats:
 
 
 def seed_stats(values: Sequence[float]) -> SeedStats:
-    """Summary statistics of per-seed metric values (at least one seed)."""
+    """Summary statistics of per-seed metric values (at least one seed).
+
+    >>> stats = seed_stats([2.0, 4.0, 6.0])
+    >>> stats.mean, stats.stddev, stats.n_seeds
+    (4.0, 2.0, 3)
+    >>> seed_stats([0.5])
+    SeedStats(mean=0.5, stddev=0.0, ci95=0.0, n_seeds=1)
+    """
     n = len(values)
     if n == 0:
         raise ValueError("at least one value is required")

@@ -10,9 +10,14 @@ fault-ratio sweep or the waste bound, so it loads none of them either.  Only
 modules from their ``__init__``.  Each run test starts a fresh interpreter
 with ``PYTHONPATH=src``, because this test process has long since imported
 all of them.
+
+The package graph is layered: the model layers (faults, HBD models, core
+topologies, analysis) import nothing from the layers that run them, so
+there is no import cycle, and every module imports first in a fresh process.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -147,6 +152,70 @@ def test_import_repro_loads_no_submodule(package):
         package,
     )
     assert json.loads(loaded) == ["1.0.0", sorted({"repro", package})]
+
+
+def test_every_module_imports_first():
+    failed = run_fresh(
+        "import importlib, json, pkgutil, sys\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "failed = []\n"
+        "for name in names:\n"
+        "    for loaded in [m for m in sys.modules if m.partition('.')[0] == 'repro']:\n"
+        "        del sys.modules[loaded]\n"
+        "    try:\n"
+        "        importlib.import_module(name)\n"
+        "    except Exception as error:\n"
+        "        failed.append(f'{name}: {type(error).__name__}: {error}')\n"
+        "print(json.dumps(failed))\n"
+    )
+    assert json.loads(failed) == []
+
+
+#: The model layers, and the layers that run them.
+MODEL_LAYERS = ("repro.faults", "repro.hbd", "repro.core", "repro.analysis")
+RUNNING_LAYERS = (
+    "repro.api",
+    "repro.cache",
+    "repro.cli",
+    "repro.mc",
+    "repro.scheduler",
+    "repro.simulation",
+)
+
+
+def in_layers(module, layers):
+    return any(module == layer or module.startswith(layer + ".") for layer in layers)
+
+
+def repro_imports(path, module):
+    """Every ``repro`` module that ``path`` imports, function-level imports included."""
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            imported.add(base)
+            if base == "repro":  # ``from repro import api`` imports a subpackage
+                imported.update(f"repro.{alias.name}" for alias in node.names)
+    return {name for name in imported if name.partition(".")[0] == "repro"}
+
+
+def test_model_layers_import_nothing_from_the_layers_that_run_them():
+    src = REPO_ROOT / "src"
+    upward = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        if in_layers(module, MODEL_LAYERS):
+            upward += [
+                f"{module} imports {name}"
+                for name in sorted(repro_imports(path, module))
+                if in_layers(name, RUNNING_LAYERS)
+            ]
+    assert upward == []
 
 
 def third_party_imports(package_dir):
