@@ -34,6 +34,10 @@ class InfiniteHBDArchitecture(HBDArchitecture):
         self, k: int = 2, gpus_per_node: int = 4, ring: bool = True
     ) -> None:
         super().__init__(gpus_per_node)
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"k must be an int, got {k!r}")
+        if not isinstance(ring, bool):
+            raise ValueError(f"ring must be a bool, got {ring!r}")
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k

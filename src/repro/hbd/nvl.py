@@ -22,6 +22,8 @@ class NVLHBD(HBDArchitecture):
 
     def __init__(self, hbd_size: int, gpus_per_node: int = 4) -> None:
         super().__init__(gpus_per_node)
+        if not isinstance(hbd_size, int) or isinstance(hbd_size, bool):
+            raise ValueError(f"hbd_size must be an int, got {hbd_size!r}")
         if hbd_size < gpus_per_node:
             raise ValueError("hbd_size must be at least one node worth of GPUs")
         if hbd_size % gpus_per_node:

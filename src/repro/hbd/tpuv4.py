@@ -32,6 +32,8 @@ class TPUv4HBD(HBDArchitecture):
 
     def __init__(self, gpus_per_node: int = 4, cube_size: int = 64) -> None:
         super().__init__(gpus_per_node)
+        if not isinstance(cube_size, int) or isinstance(cube_size, bool):
+            raise ValueError(f"cube_size must be an int, got {cube_size!r}")
         if cube_size < gpus_per_node or cube_size % gpus_per_node:
             raise ValueError("cube_size must be a positive multiple of gpus_per_node")
         self.cube_size = cube_size

@@ -619,10 +619,41 @@ class TestFailFast:
                 ValueError,
                 "k must be >= 1",
             ),
+            (
+                [{"name": "InfiniteHBD(K=2)", "params": {"k": 2.5}}],
+                ["waste"],
+                ValueError,
+                r"k must be an int, got 2\.5",
+            ),
+            (
+                [{"name": "InfiniteHBD(K=2)", "params": {"k": True}}],
+                ["waste"],
+                ValueError,
+                "k must be an int, got True",
+            ),
+            (
+                [{"name": "infinitehbd", "params": {"k": 3.0}}],
+                ["waste"],
+                ValueError,
+                r"k must be an int, got 3\.0",
+            ),
+            (
+                [{"name": "infinitehbd", "params": {"k": 2, "ring": "no"}}],
+                ["waste"],
+                ValueError,
+                "ring must be a bool, got 'no'",
+            ),
+            (
+                [{"name": "nvl", "params": {"hbd_size": 144.0}}],
+                ["waste"],
+                ValueError,
+                r"hbd_size must be an int, got 144\.0",
+            ),
             (["NVL-72"], ["waste", "schedule"], ValueError, "'schedule' needs scenario.workload"),
             (["NVL-72"], ["blast_radius"], ValueError, "'blast_radius' needs scenario.workload"),
         ],
-        ids=["unknown-architecture", "bad-parameter", "schedule-no-workload",
+        ids=["unknown-architecture", "bad-parameter", "fractional-k", "bool-k", "float-k",
+             "ring-not-a-bool", "float-hbd-size", "schedule-no-workload",
              "blast-radius-no-workload"],
     )
     def test_rejected_before_any_work(

@@ -197,6 +197,24 @@ class TestInfiniteHBD:
             InfiniteHBDArchitecture(k=0)
 
 
+@pytest.mark.parametrize(
+    ("build", "match"),
+    [
+        (lambda: InfiniteHBDArchitecture(k=2.0), r"k must be an int, got 2\.0"),
+        (lambda: InfiniteHBDArchitecture(k=False), "k must be an int, got False"),
+        (lambda: InfiniteHBDArchitecture(k=2, ring=1), "ring must be a bool, got 1"),
+        (lambda: NVLHBD(72.0), r"hbd_size must be an int, got 72\.0"),
+        (lambda: NVLHBD(True), "hbd_size must be an int, got True"),
+        (lambda: TPUv4HBD(cube_size=64.0), r"cube_size must be an int, got 64\.0"),
+    ],
+    ids=["float-k", "bool-k", "int-ring", "float-hbd-size", "bool-hbd-size",
+         "float-cube-size"],
+)
+def test_parameters_of_the_wrong_type_are_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 class TestRegistry:
     def test_default_lineup(self):
         names = [a.name for a in default_architectures(4)]
