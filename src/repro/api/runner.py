@@ -44,7 +44,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Mapping, Sequence
 from multiprocessing.context import BaseContext
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.api.results import (
     RESULT_SCHEMA_VERSION,
@@ -243,6 +243,34 @@ def _run_capacity_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list
     ]
 
 
+_Default = TypeVar("_Default")
+
+
+def _count_option(
+    experiment: str, options: Mapping[str, Any], name: str, default: _Default
+) -> int | _Default:
+    """Option ``name``, an ``int`` >= 1 (not a ``bool``); another value raises naming it.
+
+    An absent option is ``default``; so is ``null`` where ``default`` is ``None``.
+    """
+    value = options.get(name, default)
+    if value is None and default is None:
+        return default
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{experiment} option {name!r} must be an int >= 1, got {value!r}")
+    return value
+
+
+def _real_option(
+    experiment: str, options: Mapping[str, Any], name: str, default: float
+) -> float:
+    """Option ``name``, an ``int`` or ``float`` (not a ``bool``), as a float."""
+    value = options.get(name, default)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{experiment} option {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _fault_waiting_scales(spec: ExperimentSpec) -> list[int]:
     """The fault_waiting ``job_scales``; a bad one raises naming it.
 
@@ -270,12 +298,15 @@ def _goodput_config(spec: ExperimentSpec, tp_size: int) -> GoodputConfig:
     """
     scenario = spec.scenario
     options = spec.options_for("goodput")
+    job_gpus = _count_option("goodput", options, "job_gpus", scenario.job_gpus)
+    checkpoint_hours = _real_option("goodput", options, "checkpoint_interval_hours", 1.0)
+    restart_hours = _real_option("goodput", options, "restart_overhead_hours", 0.25)
     try:
         config = GoodputConfig(
-            job_gpus=int(options.get("job_gpus", scenario.job_gpus)),
+            job_gpus=job_gpus,
             tp_size=tp_size,
-            checkpoint_interval_hours=float(options.get("checkpoint_interval_hours", 1.0)),
-            restart_overhead_hours=float(options.get("restart_overhead_hours", 0.25)),
+            checkpoint_interval_hours=checkpoint_hours,
+            restart_overhead_hours=restart_hours,
         )
     except ValueError as error:
         raise ValueError(f"goodput at TP-{tp_size}: {error}") from None
@@ -486,15 +517,16 @@ def _run_blast_radius_task(
     return rows
 
 
-def _cross_tor_methods(spec: ExperimentSpec) -> list[str]:
-    """The cross_tor ``methods``; a bad one raises naming it.
+def _cross_tor_options(spec: ExperimentSpec) -> dict[str, Any]:
+    """The cross_tor options, defaults filled in; a bad one raises naming it.
 
-    The option is a list, and every entry must name a method
+    ``methods`` is a list, and every entry must name a method
     :meth:`~repro.core.orchestrator.Orchestrator.place` accepts.
     """
     from repro.core.orchestrator import _PLACE_METHODS
 
-    methods = spec.options_for("cross_tor").get("methods", ["greedy", "optimized"])
+    options = spec.options_for("cross_tor")
+    methods = options.get("methods", ["greedy", "optimized"])
     if not isinstance(methods, (list, tuple)):
         raise ValueError(f"cross_tor option 'methods' must be a list, got {methods!r}")
     for method in methods:
@@ -503,7 +535,14 @@ def _cross_tor_methods(spec: ExperimentSpec) -> list[str]:
                 f"cross_tor option 'methods': unknown method {method!r}; "
                 f"known: {list(_PLACE_METHODS)}"
             )
-    return list(methods)
+    return {
+        "methods": list(methods),
+        "k": _count_option("cross_tor", options, "k", 2),
+        "nodes_per_tor": _count_option("cross_tor", options, "nodes_per_tor", 4),
+        "tors_per_domain": _count_option("cross_tor", options, "tors_per_domain", 64),
+        "job_scale_ratio": _real_option("cross_tor", options, "job_scale_ratio", 0.85),
+        "fault_ratio": _real_option("cross_tor", options, "fault_ratio", 0.05),
+    }
 
 
 def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
@@ -514,7 +553,7 @@ def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> lis
     from repro.faults.model import sample_fault_set
 
     scenario = spec.scenario
-    options = spec.options_for("cross_tor")
+    options = _cross_tor_options(spec)
     method = payload["method"]
     tp_size = payload["tp_size"]
     n_nodes = _scenario_nodes(scenario)
@@ -523,16 +562,15 @@ def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> lis
 
     orchestrator = Orchestrator(
         n_nodes=n_nodes,
-        k=int(options.get("k", 2)),
+        k=options["k"],
         fat_tree_config=FatTreeConfig(
             n_nodes=n_nodes,
-            nodes_per_tor=int(options.get("nodes_per_tor", 4)),
-            tors_per_domain=int(options.get("tors_per_domain", 64)),
+            nodes_per_tor=options["nodes_per_tor"],
+            tors_per_domain=options["tors_per_domain"],
         ),
     )
-    job_scale_ratio = float(options.get("job_scale_ratio", 0.85))
-    fault_ratio = float(options.get("fault_ratio", 0.05))
-    job_gpus = int(job_scale_ratio * total_gpus) // tp_size * tp_size
+    fault_ratio = options["fault_ratio"]
+    job_gpus = int(options["job_scale_ratio"] * total_gpus) // tp_size * tp_size
     job = JobSpec(total_gpus=job_gpus, tp_size=tp_size, gpus_per_node=gpus_per_node)
     faults = sample_fault_set(
         n_nodes, fault_ratio, np.random.default_rng(scenario.seed)
@@ -554,12 +592,25 @@ def _run_cross_tor_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> lis
     ]
 
 
-def _mfu_model(spec: ExperimentSpec) -> str:
-    """The mfu ``model``, ``llama`` or ``moe``; another one raises naming it."""
-    model = spec.options_for("mfu").get("model", "llama")
+def _mfu_options(spec: ExperimentSpec) -> dict[str, Any]:
+    """The mfu options, defaults filled in; a bad one raises naming it.
+
+    ``model`` is ``llama`` or ``moe``.  An absent or ``null``
+    ``global_batch`` is the model's default batch, and ``max_tp`` caps
+    nothing.
+    """
+    options = spec.options_for("mfu")
+    model = options.get("model", "llama")
     if model not in ("llama", "moe"):
         raise ValueError(f"mfu option 'model': unknown model {model!r}; known: ['llama', 'moe']")
-    return str(model)
+    global_batch = _count_option("mfu", options, "global_batch", None)
+    return {
+        "model": str(model),
+        "gpus": _count_option("mfu", options, "gpus", 8192),
+        "global_batch": global_batch or (2048 if model == "llama" else 1536),
+        "imbalance": _real_option("mfu", options, "imbalance", 0.2),
+        "max_tp": _count_option("mfu", options, "max_tp", None),
+    }
 
 
 def _run_mfu_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
@@ -567,22 +618,21 @@ def _run_mfu_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict
     from repro.training.parallelism import search_optimal_strategy
 
     scenario = spec.scenario
-    options = spec.options_for("mfu")
-    if _mfu_model(spec) == "llama":
+    options = _mfu_options(spec)
+    global_batch = options["global_batch"]
+    if options["model"] == "llama":
         model = llama31_405b()
-        global_batch = int(options.get("global_batch") or 2048)
         ep_choices: Sequence[int] = (1,)
     else:
         model = gpt_moe_1t()
-        global_batch = int(options.get("global_batch") or 1536)
         ep_choices = (1, 2, 4, 8)
     result = search_optimal_strategy(
         model,
-        int(options.get("gpus", 8192)),
+        options["gpus"],
         global_batch,
         ep_choices=ep_choices,
-        expert_imbalance_coef=float(options.get("imbalance", 0.2)),
-        max_tp=options.get("max_tp"),
+        expert_imbalance_coef=options["imbalance"],
+        max_tp=options["max_tp"],
     )
     if result.best_config is None:
         metrics: dict[str, Any] = {"feasible": False}
@@ -605,12 +655,19 @@ def _run_mfu_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict
     ]
 
 
+def _cost_include_hpn(spec: ExperimentSpec) -> bool:
+    """The cost ``include_hpn`` option, a ``bool``; another value raises naming it."""
+    include_hpn = spec.options_for("cost").get("include_hpn", False)
+    if not isinstance(include_hpn, bool):
+        raise ValueError(f"cost option 'include_hpn' must be a bool, got {include_hpn!r}")
+    return include_hpn
+
+
 def _run_cost_task(spec: ExperimentSpec, payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     from repro.cost.analysis import interconnect_cost_table
 
     scenario = spec.scenario
-    options = spec.options_for("cost")
-    rows = interconnect_cost_table(include_hpn=bool(options.get("include_hpn", False)))
+    rows = interconnect_cost_table(include_hpn=_cost_include_hpn(spec))
     return [
         ExperimentResult.of(
             "cost",
@@ -763,7 +820,7 @@ class ExperimentRunner:
                             "tp_size": tp,
                         })
             elif experiment == "cross_tor":
-                for method in _cross_tor_methods(spec):
+                for method in _cross_tor_options(spec)["methods"]:
                     payloads.append({
                         "spec": spec_dict,
                         "experiment": experiment,
@@ -821,9 +878,9 @@ class ExperimentRunner:
         trace is built; checks the goodput job at every TP size; checks that
         the scheduling experiments have a job queue and builds a synthetic
         queue's config for every architecture and TP size, with the job cap
-        the task passes; and parses the ``fault_waiting`` job scales, the
-        ``blast_radius`` placements and correlations and the ``mfu`` model
-        (:meth:`tasks` parses the ``cross_tor`` methods).  This runs here
+        the task passes; and parses the options of ``fault_waiting``,
+        ``blast_radius``, ``cross_tor``, ``mfu`` and ``cost`` with the
+        functions their tasks read them through.  This runs here
         rather than at spec parse time because plugin architectures may
         register after a spec is parsed.
         """
@@ -868,8 +925,12 @@ class ExperimentRunner:
             _fault_waiting_scales(self.spec)
         if "blast_radius" in experiments:
             _blast_radius_options(self.spec)
+        if "cross_tor" in experiments:
+            _cross_tor_options(self.spec)
         if "mfu" in experiments:
-            _mfu_model(self.spec)
+            _mfu_options(self.spec)
+        if "cost" in experiments:
+            _cost_include_hpn(self.spec)
 
     def _task_cache_key(self, payload: Mapping[str, Any]) -> str:
         """Content key of one task: everything that determines its rows.

@@ -757,6 +757,66 @@ class TestFailFast:
             ),
             ("mfu", {"model": "lama"}, "mfu option 'model': unknown model 'lama'", QUEUE),
             (
+                "cost",
+                {"include_hpn": "no"},
+                "cost option 'include_hpn' must be a bool, got 'no'",
+                QUEUE,
+            ),
+            ("cost", {"include_hpn": 1}, "cost option 'include_hpn' must be a bool, got 1", QUEUE),
+            (
+                "goodput",
+                {"job_gpus": 128.9},
+                r"goodput option 'job_gpus' must be an int >= 1, got 128\.9",
+                QUEUE,
+            ),
+            (
+                "goodput",
+                {"checkpoint_interval_hours": "2"},
+                "goodput option 'checkpoint_interval_hours' must be a number, got '2'",
+                QUEUE,
+            ),
+            (
+                "goodput",
+                {"restart_overhead_hours": True},
+                "goodput option 'restart_overhead_hours' must be a number, got True",
+                QUEUE,
+            ),
+            (
+                "mfu",
+                {"gpus": 8192.7},
+                r"mfu option 'gpus' must be an int >= 1, got 8192\.7",
+                QUEUE,
+            ),
+            ("mfu", {"global_batch": 0}, "mfu option 'global_batch' must be an int >= 1, got 0", QUEUE),
+            ("mfu", {"max_tp": 3.5}, r"mfu option 'max_tp' must be an int >= 1, got 3\.5", QUEUE),
+            ("mfu", {"imbalance": "0.2"}, "mfu option 'imbalance' must be a number, got '0.2'", QUEUE),
+            ("cross_tor", {"k": 2.7}, r"cross_tor option 'k' must be an int >= 1, got 2\.7", QUEUE),
+            ("cross_tor", {"k": "2"}, "cross_tor option 'k' must be an int >= 1, got '2'", QUEUE),
+            (
+                "cross_tor",
+                {"nodes_per_tor": 0},
+                "cross_tor option 'nodes_per_tor' must be an int >= 1, got 0",
+                QUEUE,
+            ),
+            (
+                "cross_tor",
+                {"tors_per_domain": True},
+                "cross_tor option 'tors_per_domain' must be an int >= 1, got True",
+                QUEUE,
+            ),
+            (
+                "cross_tor",
+                {"job_scale_ratio": None},
+                "cross_tor option 'job_scale_ratio' must be a number, got None",
+                QUEUE,
+            ),
+            (
+                "cross_tor",
+                {"fault_ratio": "0.05"},
+                "cross_tor option 'fault_ratio' must be a number, got '0.05'",
+                QUEUE,
+            ),
+            (
                 "goodput",
                 {"job_gpu": 512},
                 r"unknown goodput option\(s\) \['job_gpu'\]; known: \['job_gpus', "
@@ -797,6 +857,11 @@ class TestFailFast:
         ],
         ids=["job-scales-not-a-list", "zero-job-scale", "fractional-job-scale",
              "unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model",
+             "include-hpn-not-a-bool", "include-hpn-one", "fractional-job-gpus",
+             "checkpoint-interval-string", "restart-overhead-bool", "fractional-mfu-gpus",
+             "zero-global-batch", "fractional-max-tp", "imbalance-string", "fractional-k",
+             "string-k", "zero-nodes-per-tor", "bool-tors-per-domain",
+             "null-job-scale-ratio", "fault-ratio-string",
              "unknown-goodput-key", "unknown-cost-key", "unknown-waste-key",
              "schedule-job-cap-below-tp", "blast-radius-job-cap-below-tp",
              "fixed-tp-above-half-the-cluster"],
@@ -834,6 +899,31 @@ class TestFailFast:
         with pytest.raises(ValueError, match=match):
             ExperimentRunner(spec).run()
         assert work == []
+
+    def test_null_mfu_batch_and_max_tp_take_the_defaults(self):
+        def metrics(options):
+            spec = ExperimentSpec.of(
+                scenario=Scenario(name="mfu"),
+                experiments=("mfu",),
+                options={"mfu": options},
+                max_workers=1,
+            )
+            (row,) = ExperimentRunner(spec).run()
+            return row.metrics
+
+        assert metrics({"gpus": 1024, "global_batch": None, "max_tp": None}) == metrics(
+            {"gpus": 1024}
+        )
+
+    def test_whole_number_float_job_scales_are_accepted(self):
+        spec = ExperimentSpec.of(
+            scenario=small_spec(tp_sizes=(32,)).scenario,
+            experiments=("fault_waiting",),
+            options={"fault_waiting": {"job_scales": [512.0, 1024]}},
+            max_workers=1,
+        )
+        for row in ExperimentRunner(spec).run():
+            assert row.series_dict["job_scales"] == (512, 1024)
 
     def test_oversize_cluster_rejected_before_any_work(self, monkeypatch):
         # 801 simulated nodes on the default 800-node trace, over 20 seeds.
