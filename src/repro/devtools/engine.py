@@ -90,6 +90,8 @@ class LintConfig:
         "repro.faults",
         "repro.analysis",
         "repro.hbd.base",
+        "repro.hbd.registry",
+        "repro.mc",
     )
     #: Modules whose dataclasses are serialized specs and must be frozen (D006).
     spec_modules: tuple[str, ...] = (
