@@ -264,10 +264,10 @@ def _count_option(
 def _real_option(
     experiment: str, options: Mapping[str, Any], name: str, default: float
 ) -> float:
-    """Option ``name``, an ``int`` or ``float`` (not a ``bool``), as a float."""
+    """Option ``name``, a finite ``int`` or ``float`` (not a ``bool``), as a float."""
     value = options.get(name, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{experiment} option {name!r} must be a number, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"{experiment} option {name!r} must be a finite number, got {value!r}")
     return float(value)
 
 

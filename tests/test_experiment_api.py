@@ -772,13 +772,19 @@ class TestFailFast:
             (
                 "goodput",
                 {"checkpoint_interval_hours": "2"},
-                "goodput option 'checkpoint_interval_hours' must be a number, got '2'",
+                "goodput option 'checkpoint_interval_hours' must be a finite number, got '2'",
+                QUEUE,
+            ),
+            (
+                "goodput",
+                {"checkpoint_interval_hours": float("nan")},
+                "goodput option 'checkpoint_interval_hours' must be a finite number, got nan",
                 QUEUE,
             ),
             (
                 "goodput",
                 {"restart_overhead_hours": True},
-                "goodput option 'restart_overhead_hours' must be a number, got True",
+                "goodput option 'restart_overhead_hours' must be a finite number, got True",
                 QUEUE,
             ),
             (
@@ -787,9 +793,19 @@ class TestFailFast:
                 r"mfu option 'gpus' must be an int >= 1, got 8192\.7",
                 QUEUE,
             ),
-            ("mfu", {"global_batch": 0}, "mfu option 'global_batch' must be an int >= 1, got 0", QUEUE),
+            (
+                "mfu",
+                {"global_batch": 0},
+                "mfu option 'global_batch' must be an int >= 1, got 0",
+                QUEUE,
+            ),
             ("mfu", {"max_tp": 3.5}, r"mfu option 'max_tp' must be an int >= 1, got 3\.5", QUEUE),
-            ("mfu", {"imbalance": "0.2"}, "mfu option 'imbalance' must be a number, got '0.2'", QUEUE),
+            (
+                "mfu",
+                {"imbalance": "0.2"},
+                "mfu option 'imbalance' must be a finite number, got '0.2'",
+                QUEUE,
+            ),
             ("cross_tor", {"k": 2.7}, r"cross_tor option 'k' must be an int >= 1, got 2\.7", QUEUE),
             ("cross_tor", {"k": "2"}, "cross_tor option 'k' must be an int >= 1, got '2'", QUEUE),
             (
@@ -807,13 +823,13 @@ class TestFailFast:
             (
                 "cross_tor",
                 {"job_scale_ratio": None},
-                "cross_tor option 'job_scale_ratio' must be a number, got None",
+                "cross_tor option 'job_scale_ratio' must be a finite number, got None",
                 QUEUE,
             ),
             (
                 "cross_tor",
                 {"fault_ratio": "0.05"},
-                "cross_tor option 'fault_ratio' must be a number, got '0.05'",
+                "cross_tor option 'fault_ratio' must be a finite number, got '0.05'",
                 QUEUE,
             ),
             (
@@ -858,10 +874,10 @@ class TestFailFast:
         ids=["job-scales-not-a-list", "zero-job-scale", "fractional-job-scale",
              "unknown-cross-tor-method", "methods-not-a-list", "unknown-mfu-model",
              "include-hpn-not-a-bool", "include-hpn-one", "fractional-job-gpus",
-             "checkpoint-interval-string", "restart-overhead-bool", "fractional-mfu-gpus",
-             "zero-global-batch", "fractional-max-tp", "imbalance-string", "fractional-k",
-             "string-k", "zero-nodes-per-tor", "bool-tors-per-domain",
-             "null-job-scale-ratio", "fault-ratio-string",
+             "checkpoint-interval-string", "checkpoint-interval-nan", "restart-overhead-bool",
+             "fractional-mfu-gpus", "zero-global-batch", "fractional-max-tp",
+             "imbalance-string", "fractional-k", "string-k", "zero-nodes-per-tor",
+             "bool-tors-per-domain", "null-job-scale-ratio", "fault-ratio-string",
              "unknown-goodput-key", "unknown-cost-key", "unknown-waste-key",
              "schedule-job-cap-below-tp", "blast-radius-job-cap-below-tp",
              "fixed-tp-above-half-the-cluster"],
